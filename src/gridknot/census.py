@@ -11,6 +11,7 @@ parallel workers need no shared state.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -21,11 +22,13 @@ from typing import Callable
 from . import moves as mv
 from .grid import (
     GridDiagram,
+    GridError,
     SizeError,
     canonical_form,
     canonical_key,
     component_count,
     crossings,
+    grid_cycles,
     length_stats,
 )
 from .simplify import (
@@ -36,6 +39,10 @@ from .simplify import (
     is_trivial,
     needs_exterior,
 )
+
+
+class CheckpointMismatchError(GridError):
+    """A census checkpoint was written for another size or filter."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,16 +219,21 @@ def enumerate_diagrams(
     forbid = frozenset({1, n - 1}) if filt.stuck_only else frozenset()
     tasks = [(n, filt, span) for span in _all_spans(n, forbid)]
 
+    filt_obj = dataclasses.asdict(filt)
     done_spans: set[tuple[int, int]] = set()
     raw = 0
     rep_cols: list[tuple] = []
     if checkpoint and os.path.exists(checkpoint):
         with open(checkpoint) as fh:
             state = json.load(fh)
-        if state.get("n") == n:
-            done_spans = {tuple(s) for s in state["done"]}
-            raw = state["raw"]
-            rep_cols = [tuple(tuple(p) for p in cols) for cols in state["reps"]]
+        if state.get("n") != n or state.get("filter") != filt_obj:
+            raise CheckpointMismatchError(
+                f"checkpoint {checkpoint} was written for n={state.get('n')!r}, "
+                f"filter {state.get('filter')!r}; this run has n={n}, filter {filt_obj!r}"
+            )
+        done_spans = {tuple(s) for s in state["done"]}
+        raw = state["raw"]
+        rep_cols = [tuple(tuple(p) for p in cols) for cols in state["reps"]]
     pending = [t for t in tasks if t[2] not in done_spans]
 
     def save_checkpoint() -> None:
@@ -229,6 +241,7 @@ def enumerate_diagrams(
             return
         state = {
             "n": n,
+            "filter": filt_obj,
             "done": sorted(done_spans),
             "raw": raw,
             "reps": [[list(p) for p in cols] for cols in rep_cols],
@@ -294,30 +307,23 @@ def enumerate_diagrams(
 
 def _knot_passages(d: GridDiagram) -> list[tuple[tuple[int, int], bool]]:
     """Crossing passages ((column, row), is_over) in knot traversal order."""
-    if component_count(d) != 1:
+    cycles = grid_cycles(d)
+    if len(cycles) != 1:
         raise NotAKnotError("determinant requires a single-component diagram")
-    rows = d.column_of_rows()
     cross_on_col: dict[int, list[int]] = {}
     cross_on_row: dict[int, list[int]] = {}
     for c in crossings(d):
         cross_on_col.setdefault(c.column, []).append(c.row)
         cross_on_row.setdefault(c.row, []).append(c.column)
     passages: list[tuple[tuple[int, int], bool]] = []
-    col = 1
-    row = d.columns[0][0]
-    for _ in range(d.n):
-        lo, hi = d.columns[col - 1]
-        dest = hi if row == lo else lo
-        on = sorted(cross_on_col.get(col, []), reverse=dest < row)
-        passages.extend(((col, j), True) for j in on if min(row, dest) < j < max(row, dest))
-        row = dest
-        a, b = rows[row]
-        dest_col = b if col == a else a
-        on = sorted(cross_on_row.get(row, []), reverse=dest_col < col)
-        passages.extend(
-            ((i, row), False) for i in on if min(col, dest_col) < i < max(col, dest_col)
-        )
-        col = dest_col
+    # every crossing on an edge lies strictly between the edge's endpoints
+    for kind, line, start, end in cycles[0]:
+        if kind == "v":
+            on = sorted(cross_on_col.get(line, []), reverse=end < start)
+            passages.extend(((line, j), True) for j in on)
+        else:
+            on = sorted(cross_on_row.get(line, []), reverse=end < start)
+            passages.extend(((i, line), False) for i in on)
     return passages
 
 

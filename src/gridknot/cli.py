@@ -149,6 +149,14 @@ def cmd_replay(args) -> dict:
     d = grid_mod.from_json_obj(obj["grid"])
     m = moves_mod.move_from_json_obj(obj["move"])
     trace = realize_mod.realize(d, m)
+    # every recorded field, the moves included, must match a fresh realization
+    expected = json.loads(json.dumps(realize_mod.trace_to_json(trace, d, m)))
+    recorded = {k: v for k, v in obj.items() if k != "frames"}
+    for key in sorted(expected.keys() | recorded.keys()):
+        if expected.get(key) != recorded.get(key):
+            raise planar_mod.IllegalMoveAtSiteError(
+                f"trace file field {key!r} differs from the realization of its grid and move"
+            )
     final = realize_mod.replay(trace)
     code = planar_mod.gauss_code(final)
     ok = code == obj["final_gauss"]

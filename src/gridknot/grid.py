@@ -3,7 +3,9 @@
 A grid diagram of size n places one vertical edge per column x=1..n and one
 horizontal edge per row y=1..n, with every crossing drawn vertical-over.  The
 diagram is stored as the n column spans; row spans are derived on demand.
-All coordinates are integers in 1..n; there is no floating geometry anywhere.
+Row j spans the two columns that use j, so the row spans read as columns are
+the transpose of the diagram.  All coordinates are integers in 1..n; there is
+no floating geometry anywhere.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ class GridDiagram:
             uses[lo].append(i)
             uses[hi].append(i)
         return tuple((u[0], u[1]) for u in uses[1:])
-
-    def column_of_rows(self) -> dict[int, tuple[int, int]]:
-        rows = self.row_spans()
-        return {j: rows[j - 1] for j in range(1, self.n + 1)}
 
     def __str__(self) -> str:
         return to_text(self)
@@ -122,24 +120,39 @@ def trivial_diagram() -> GridDiagram:
     return GridDiagram(2, ((1, 2), (1, 2)))
 
 
-def component_count(d: GridDiagram) -> int:
-    """Number of link components, by tracing column/row incidences."""
-    rows = d.column_of_rows()
-    seen = [False] * (d.n + 1)
-    comps = 0
+def grid_cycles(d: GridDiagram) -> list[list[tuple[str, int, int, int]]]:
+    """Each component as a cyclic list of directed edges:
+    ('v', column, row_from, row_to) and ('h', row, col_from, col_to).
+
+    Components are listed by their least column, and each walk starts up
+    that column from its low end.
+    """
+    rows = d.row_spans()
+    seen_cols: set[int] = set()
+    cycles = []
     for start in range(1, d.n + 1):
-        if seen[start]:
+        if start in seen_cols:
             continue
-        comps += 1
+        cyc = []
         col = start
         row = d.columns[col - 1][0]
-        while not seen[col]:
-            seen[col] = True
+        while col not in seen_cols:
+            seen_cols.add(col)
             lo, hi = d.columns[col - 1]
-            row = hi if row == lo else lo
-            a, b = rows[row]
-            col = b if col == a else a
-    return comps
+            dest = hi if row == lo else lo
+            cyc.append(("v", col, row, dest))
+            row = dest
+            a, b = rows[row - 1]
+            dest_col = b if col == a else a
+            cyc.append(("h", row, col, dest_col))
+            col = dest_col
+        cycles.append(cyc)
+    return cycles
+
+
+def component_count(d: GridDiagram) -> int:
+    """Number of link components."""
+    return len(grid_cycles(d))
 
 
 def crossings(d: GridDiagram) -> list[Crossing]:
@@ -212,52 +225,39 @@ def extremal_diagram(n: int) -> GridDiagram:
 
 # --- dihedral symmetry -------------------------------------------------------
 
-SYMMETRIES: tuple[str, ...] = (
-    "identity",
-    "rot90",
-    "rot180",
-    "rot270",
-    "flip_x",
-    "flip_y",
-    "transpose",
-    "anti_transpose",
-)
+# name -> (swap axes, reverse x, reverse y), applied in that order to a
+# point (x, y); rot90 is counterclockwise.
+_SYMMETRY_TABLE: dict[str, tuple[bool, bool, bool]] = {
+    "identity": (False, False, False),
+    "rot90": (True, True, False),
+    "rot180": (False, True, True),
+    "rot270": (True, False, True),
+    "flip_x": (False, True, False),
+    "flip_y": (False, False, True),
+    "transpose": (True, False, False),
+    "anti_transpose": (True, True, True),
+}
+
+SYMMETRIES: tuple[str, ...] = tuple(_SYMMETRY_TABLE)
 
 
-def _transform_point(x: int, y: int, n: int, sym: str) -> tuple[int, int]:
-    m = n + 1
-    if sym == "identity":
-        return x, y
-    if sym == "rot90":  # counterclockwise
-        return m - y, x
-    if sym == "rot180":
-        return m - x, m - y
-    if sym == "rot270":
-        return y, m - x
-    if sym == "flip_x":
-        return m - x, y
-    if sym == "flip_y":
-        return x, m - y
-    if sym == "transpose":
-        return y, x
-    if sym == "anti_transpose":
-        return m - y, m - x
-    raise GridError(f"unknown symmetry {sym!r}")
+def _image(d: GridDiagram, transposed: tuple[Span, ...], sym: str) -> tuple[Span, ...]:
+    """Column spans of the image of d under sym; `transposed` is d.row_spans()."""
+    swap, reverse_x, reverse_y = _SYMMETRY_TABLE[sym]
+    cols = transposed if swap else d.columns
+    if reverse_x:
+        cols = cols[::-1]
+    if reverse_y:
+        m = d.n + 1
+        cols = tuple((m - hi, m - lo) for lo, hi in cols)
+    return cols
 
 
 def apply_symmetry(d: GridDiagram, sym: str) -> GridDiagram:
     """Image of the diagram under one of the eight square symmetries."""
-    n = d.n
-    buckets: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, (lo, hi) in enumerate(d.columns, start=1):
-        for j in (lo, hi):
-            x, y = _transform_point(i, j, n, sym)
-            buckets[x].append(y)
-    cols = []
-    for x in range(1, n + 1):
-        a, b = buckets[x]
-        cols.append((a, b) if a < b else (b, a))
-    return GridDiagram(n, tuple(cols))
+    if sym not in _SYMMETRY_TABLE:
+        raise GridError(f"unknown symmetry {sym!r}")
+    return GridDiagram(d.n, _image(d, d.row_spans(), sym))
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,60 +273,20 @@ def canonical_form(d: GridDiagram) -> CanonicalForm:
     The eight square symmetries preserve validity, crossing count, component
     count and move availability (up to swapping the two axes), so they are
     safe to quotient by; cyclic rotation moves are treated as moves instead.
+    Ties go to the first symmetry in SYMMETRIES order.
     """
-    best: GridDiagram | None = None
-    best_sym = "identity"
-    orbit: set[tuple[Span, ...]] = set()
-    for sym in SYMMETRIES:
-        img = apply_symmetry(d, sym)
-        orbit.add(img.columns)
-        if best is None or img.columns < best.columns:
-            best = img
-            best_sym = sym
-    assert best is not None
-    return CanonicalForm(best, best_sym, len(orbit))
+    rows = d.row_spans()
+    images = {sym: _image(d, rows, sym) for sym in SYMMETRIES}
+    best = min(SYMMETRIES, key=images.__getitem__)
+    return CanonicalForm(GridDiagram(d.n, images[best]), best, len(set(images.values())))
 
 
 def canonical_key(d: GridDiagram) -> bytes:
-    """Compact canonical identifier used for search/census dedup."""
-    n = d.n
-    m = n + 1
-    best: bytes | None = None
-    cols = d.columns
-    for sym in SYMMETRIES:
-        buckets: list[list[int]] = [[] for _ in range(n + 1)]
-        for i in range(1, n + 1):
-            lo, hi = cols[i - 1]
-            for j in (lo, hi):
-                if sym == "identity":
-                    x, y = i, j
-                elif sym == "rot90":
-                    x, y = m - j, i
-                elif sym == "rot180":
-                    x, y = m - i, m - j
-                elif sym == "rot270":
-                    x, y = j, m - i
-                elif sym == "flip_x":
-                    x, y = m - i, j
-                elif sym == "flip_y":
-                    x, y = i, m - j
-                elif sym == "transpose":
-                    x, y = j, i
-                else:  # anti_transpose
-                    x, y = m - j, m - i
-                buckets[x].append(y)
-        flat = bytearray()
-        for x in range(1, n + 1):
-            a, b = buckets[x]
-            if a > b:
-                a, b = b, a
-            flat.append(a)
-            flat.append(b)
-        cand = bytes(flat)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return bytes([n]) + best
+    """Compact canonical identifier used for search/census dedup: n, then the
+    least image's spans flattened (the same order as comparing span tuples)."""
+    rows = d.row_spans()
+    best = min(_image(d, rows, sym) for sym in SYMMETRIES)
+    return bytes([d.n, *(r for span in best for r in span)])
 
 
 def from_canonical_key(key: bytes) -> GridDiagram:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import moves as mv
-from .grid import GridDiagram, SizeError, crossings
+from .grid import GridDiagram, SizeError, apply_symmetry, crossings, grid_cycles
 
 BOUND_KINDS = ("exterior_exchange", "exterior_merge", "rotation")
 
@@ -77,8 +77,7 @@ class JumpSpec:
         return "under" if self.transposed else "over"
 
     def strip(self) -> tuple[int, int]:
-        a, b = self.host.column_of_rows()[self.row]
-        return (a, b) if a < b else (b, a)
+        return self.host.row_spans()[self.row - 1]
 
     def far_ends(self) -> tuple[int, int]:
         """Heights of the free endpoints of the two attached verticals."""
@@ -182,7 +181,7 @@ def jump_decomposition(d: GridDiagram, m: mv.CromwellMove) -> list[JumpSpec]:
     diagram, where the carried strand is an understrand.
     """
     if m.axis is mv.Axis.VERTICAL:
-        dt = mv._transpose(d)
+        dt = apply_symmetry(d, "transpose")
         specs = jump_decomposition(dt, _transpose_move(m))
         return [JumpSpec(s.host, s.row, s.direction, transposed=True) for s in specs]
 
@@ -285,32 +284,6 @@ class SigmaBreakdown:
             "sigma_strong": self.sigma_strong,
             "sigma_no_r1": self.sigma_no_r1,
         }
-
-
-def grid_cycles(d: GridDiagram) -> list[list[tuple[str, int, int, int]]]:
-    """Each component as a cyclic list of directed edges:
-    ('v', column, row_from, row_to) and ('h', row, col_from, col_to)."""
-    rows = d.column_of_rows()
-    seen_cols: set[int] = set()
-    cycles = []
-    for start in range(1, d.n + 1):
-        if start in seen_cols:
-            continue
-        cyc = []
-        col = start
-        row = d.columns[col - 1][0]
-        while col not in seen_cols:
-            seen_cols.add(col)
-            lo, hi = d.columns[col - 1]
-            dest = hi if row == lo else lo
-            cyc.append(("v", col, row, dest))
-            row = dest
-            a, b = rows[row]
-            dest_col = b if col == a else a
-            cyc.append(("h", row, col, dest_col))
-            col = dest_col
-        cycles.append(cyc)
-    return cycles
 
 
 class _ArcWalker:

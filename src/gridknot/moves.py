@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .grid import GridDiagram, Span
+from .grid import GridDiagram, Span, apply_symmetry
 
 
 class MoveError(ValueError):
@@ -155,8 +155,8 @@ def _merge_endpoints(d: GridDiagram, axis: Axis, connector: int, exterior: bool)
     """
     if axis is Axis.HORIZONTAL:
         lo, hi = d.columns[connector - 1]
-        rows = d.column_of_rows()
-        ra, rb = rows[lo], rows[hi]
+        rows = d.row_spans()
+        ra, rb = rows[lo - 1], rows[hi - 1]
         a = ra[0] if ra[1] == connector else ra[1]
         b = rb[0] if rb[1] == connector else rb[1]
     else:
@@ -178,18 +178,15 @@ def available_moves(d: GridDiagram, include_divides: bool = False) -> list[Cromw
 
     Merge listing follows the edge-length criterion: a length-1 connector
     gives an interior merge, a spanning connector of length n-1 an exterior
-    merge (with both placements).  At n=2 the two criteria coincide; the
-    connectors are listed as interior merges there even though applying any
-    merge at n=2 is rejected (the 2x2 diagram is terminal).  Structurally
-    degenerate merges (closed square sub-component) are not listed for n>2.
+    merge (with both placements).  Structurally degenerate merges (closed
+    square sub-component) are not listed; at n=2 that is every merge, as the
+    2x2 diagram is terminal.
     """
     n = d.n
     out: list[CromwellMove] = []
     rows = d.row_spans()
 
     def merge_ok(axis: Axis, idx: int, exterior: bool) -> bool:
-        if n == 2:
-            return True
         try:
             _merge_endpoints(d, axis, idx, exterior)
         except InapplicableMoveError:
@@ -202,15 +199,14 @@ def available_moves(d: GridDiagram, include_divides: bool = False) -> list[Cromw
     for j, (a, b) in enumerate(rows, start=1):
         if b - a == 1 and merge_ok(Axis.VERTICAL, j, False):
             out.append(interior_merge(Axis.VERTICAL, j))
-    if n > 2:
-        for i, (lo, hi) in enumerate(d.columns, start=1):
-            if (lo, hi) == (1, n) and merge_ok(Axis.HORIZONTAL, i, True):
-                out.append(exterior_merge(Axis.HORIZONTAL, i, LOW))
-                out.append(exterior_merge(Axis.HORIZONTAL, i, HIGH))
-        for j, (a, b) in enumerate(rows, start=1):
-            if (a, b) == (1, n) and merge_ok(Axis.VERTICAL, j, True):
-                out.append(exterior_merge(Axis.VERTICAL, j, LOW))
-                out.append(exterior_merge(Axis.VERTICAL, j, HIGH))
+    for i, (lo, hi) in enumerate(d.columns, start=1):
+        if (lo, hi) == (1, n) and merge_ok(Axis.HORIZONTAL, i, True):
+            out.append(exterior_merge(Axis.HORIZONTAL, i, LOW))
+            out.append(exterior_merge(Axis.HORIZONTAL, i, HIGH))
+    for j, (a, b) in enumerate(rows, start=1):
+        if (a, b) == (1, n) and merge_ok(Axis.VERTICAL, j, True):
+            out.append(exterior_merge(Axis.VERTICAL, j, LOW))
+            out.append(exterior_merge(Axis.VERTICAL, j, HIGH))
 
     for j in range(1, n):
         if _exchangeable(rows[j - 1], rows[j]):
@@ -246,18 +242,6 @@ def all_divides(d: GridDiagram) -> list[CromwellMove]:
     return out
 
 
-def _transpose(d: GridDiagram) -> GridDiagram:
-    buckets: list[list[int]] = [[] for _ in range(d.n + 1)]
-    for i, (lo, hi) in enumerate(d.columns, start=1):
-        buckets[lo].append(i)
-        buckets[hi].append(i)
-    cols = []
-    for x in range(1, d.n + 1):
-        a, b = buckets[x]
-        cols.append((a, b) if a < b else (b, a))
-    return GridDiagram(d.n, tuple(cols))
-
-
 def _relabel_rows(d: GridDiagram, table: dict[int, int]) -> GridDiagram:
     cols = []
     for lo, hi in d.columns:
@@ -274,7 +258,7 @@ def apply(d: GridDiagram, m: CromwellMove) -> GridDiagram:
     """
     if m.axis is Axis.VERTICAL:
         flipped = CromwellMove(m.kind, Axis.HORIZONTAL, m.site)
-        return _transpose(apply(_transpose(d), flipped))
+        return apply_symmetry(apply(apply_symmetry(d, "transpose"), flipped), "transpose")
 
     n = d.n
     kind = m.kind
@@ -393,7 +377,8 @@ def apply(d: GridDiagram, m: CromwellMove) -> GridDiagram:
 def inverse(m: CromwellMove, before: GridDiagram) -> CromwellMove:
     """The move undoing m, given the diagram m applies to."""
     if m.axis is Axis.VERTICAL:
-        inv = inverse(CromwellMove(m.kind, Axis.HORIZONTAL, m.site), _transpose(before))
+        flipped = CromwellMove(m.kind, Axis.HORIZONTAL, m.site)
+        inv = inverse(flipped, apply_symmetry(before, "transpose"))
         return CromwellMove(inv.kind, Axis.VERTICAL, inv.site)
 
     n = before.n

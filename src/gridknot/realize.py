@@ -21,8 +21,15 @@ from dataclasses import dataclass, field
 
 from . import moves as mv
 from . import planar
-from .grid import GridDiagram, component_count, crossings, to_json_obj
-from .jumps import JumpSpec, jump_decomposition, grid_cycles, sigma
+from .grid import (
+    GridDiagram,
+    apply_symmetry,
+    component_count,
+    crossings,
+    grid_cycles,
+    to_json_obj,
+)
+from .jumps import JumpSpec, jump_decomposition, sigma
 from .planar import PlanarDiagram, ReidemeisterMove
 from .simplify import NotAKnotError
 
@@ -287,7 +294,9 @@ class _SweepContext:
                 e = cyc[(top_pos + 2 + k) % m]
                 chain.append((False, _grid_edge_polyline(e)))
             cycles.append(chain)
-        return _extract_with_labels(cycles, moving, self.static_label)
+        return _extract_cycles(
+            cycles, moving_over=True, moving_labels=moving, static_labels=self.static_label
+        )
 
     # -- move emission ----------------------------------------------------------
 
@@ -334,12 +343,6 @@ class _SweepContext:
         if not (_same_diagram(self.diagram, post) or _same_diagram(self.diagram, _reverse_diagram(post))):
             raise SweepObstructionError("slide changed the diagram structurally")
         self.state = new_state
-
-
-def _extract_with_labels(cycles, moving_labels, static_labels) -> PlanarDiagram:
-    return _extract_cycles(
-        cycles, moving_over=True, moving_labels=moving_labels, static_labels=static_labels
-    )
 
 
 def _reverse_diagram(p: PlanarDiagram) -> PlanarDiagram:
@@ -722,7 +725,7 @@ def realize(d: GridDiagram, m: mv.CromwellMove, frames: list | None = None) -> R
     if component_count(d) != 1:
         raise NotAKnotError("realization requires a knot diagram")
     after = mv.apply(d, m)  # validates applicability
-    frame_after = mv._transpose(after) if m.axis is mv.Axis.VERTICAL else after
+    frame_after = apply_symmetry(after, "transpose") if m.axis is mv.Axis.VERTICAL else after
     specs = jump_decomposition(d, m)
     mint = [0]
     records: list[ReidemeisterMove] = []
@@ -978,8 +981,6 @@ def render_frame_svg(spec: JumpSpec, state: _MState) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side_w}" height="{side_h}">'
     )
     parts.append(f'<rect width="{side_w}" height="{side_h}" fill="white"/>')
-    from .jumps import grid_cycles
-
     for cyc in grid_cycles(host):
         for e in cyc:
             if e[0] == "h" and e[1] == spec.row:

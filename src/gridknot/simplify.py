@@ -90,9 +90,6 @@ class SearchReport:
         return obj
 
 
-_SHRINKING = (mv.MoveKind.INTERIOR_MERGE, mv.MoveKind.EXTERIOR_MERGE)
-
-
 def _search_arcs(d: GridDiagram, include_rotations: bool, include_exterior_exchange: bool):
     for m in mv.available_moves(d):
         kind = m.kind
@@ -102,8 +99,6 @@ def _search_arcs(d: GridDiagram, include_rotations: bool, include_exterior_excha
         elif kind is mv.MoveKind.EXTERIOR_EXCHANGE:
             if include_exterior_exchange:
                 yield m
-        elif kind in _SHRINKING and d.n == 2:
-            continue  # terminal object; listed merges are not applicable
         else:
             yield m
 

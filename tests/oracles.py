@@ -51,7 +51,7 @@ def brute_max_stats(n: int) -> tuple[int, int]:
 
 def _trace_passages(d: GridDiagram):
     """Crossing passages in knot order, written straight from the geometry."""
-    rows = d.column_of_rows()
+    rows = dict(enumerate(d.row_spans(), start=1))
     passages = []
     col = 1
     row = d.columns[0][0]

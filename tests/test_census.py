@@ -120,6 +120,24 @@ def test_census_checkpoint_resume(tmp_path):
     ]
 
 
+def test_census_checkpoint_rejects_other_filter(tmp_path):
+    ckpt = tmp_path / "census.ckpt"
+    cs.enumerate_diagrams(5, cs.CensusFilter(stuck_only=True), checkpoint=str(ckpt))
+    before = ckpt.read_bytes()
+    with pytest.raises(cs.CheckpointMismatchError):
+        cs.enumerate_diagrams(5, cs.CensusFilter(knots_only=True), checkpoint=str(ckpt))
+    assert ckpt.read_bytes() == before
+
+
+def test_census_checkpoint_rejects_other_size(tmp_path):
+    ckpt = tmp_path / "census.ckpt"
+    cs.enumerate_diagrams(5, checkpoint=str(ckpt))
+    before = ckpt.read_bytes()
+    with pytest.raises(cs.CheckpointMismatchError):
+        cs.enumerate_diagrams(4, checkpoint=str(ckpt))
+    assert ckpt.read_bytes() == before
+
+
 def test_census_jobs_deterministic():
     one = cs.enumerate_diagrams(5, jobs=1)
     many = cs.enumerate_diagrams(5, jobs=2)

@@ -87,6 +87,43 @@ def test_realize_and_trace_replay(capsys, tmp_path, stuck8_file):
     assert verdict["ok"] is True and verdict["moves"] == obj["moves"]
 
 
+def _tampered_trace_is_rejected(capsys, tmp_path, stuck8_file, tamper) -> None:
+    tfile = tmp_path / "trace.json"
+    move = json.dumps({"kind": "exterior_exchange", "axis": "horizontal", "site": []})
+    run(capsys, "realize", "--grid", stuck8_file, "--move", move, "--out", str(tfile))
+    obj = json.loads(tfile.read_text())
+    tamper(obj)
+    tfile.write_text(json.dumps(obj))
+    assert cli.main(["replay", "--trace", str(tfile)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_truncated_trace_replay_fails(capsys, tmp_path, stuck8_file):
+    def truncate(obj):
+        assert len(obj["moves"]) > 3
+        del obj["moves"][3:]
+
+    _tampered_trace_is_rejected(capsys, tmp_path, stuck8_file, truncate)
+
+
+def test_forged_trace_replay_fails(capsys, tmp_path, stuck8_file):
+    def forge(obj):
+        first = obj["moves"][0]
+        assert first["kind"] == "r1_create"
+        first["sign"] = -first["sign"]
+
+    _tampered_trace_is_rejected(capsys, tmp_path, stuck8_file, forge)
+
+
+def test_census_checkpoint_mismatch_exit_code(capsys, tmp_path):
+    ckpt = tmp_path / "census.ckpt"
+    run(capsys, "census", "--n", "4", "--checkpoint", str(ckpt))
+    before = ckpt.read_bytes()
+    assert cli.main(["census", "--n", "4", "--knots", "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert ckpt.read_bytes() == before
+
+
 def test_bounds_move_report(capsys, stuck8_file):
     move = json.dumps({"kind": "rotation", "axis": "horizontal", "site": ["high_to_low"]})
     obj = run(capsys, "bounds", "--grid", stuck8_file, "--move", move)

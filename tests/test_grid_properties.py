@@ -1,0 +1,116 @@
+"""Property tests of the grid core on random diagrams up to n = 12."""
+
+import hashlib
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridknot import moves as mv
+from gridknot.census import enumerate_diagrams
+from gridknot.grid import (
+    SYMMETRIES,
+    GridDiagram,
+    apply_symmetry,
+    canonical_form,
+    canonical_key,
+    component_count,
+    from_canonical_key,
+    grid_cycles,
+    parse_grid,
+    to_json_obj,
+    to_text,
+    validate,
+)
+from gridknot.simplify import scramble
+
+PROPERTY = settings(deadline=None, max_examples=200)
+
+
+@st.composite
+def grids(draw, min_n: int = 2, max_n: int = 12) -> GridDiagram:
+    """Column i spans {sigma(i), tau(i)} for permutations with sigma(i) != tau(i).
+
+    A drawn tau that meets sigma at i swaps entries i and i+1 (cyclically),
+    which moves both away from sigma without creating a new meeting.
+    """
+    n = draw(st.integers(min_n, max_n))
+    sigma = draw(st.permutations(range(1, n + 1)))
+    tau = list(draw(st.permutations(range(1, n + 1))))
+    for i in range(n):
+        if sigma[i] == tau[i]:
+            j = (i + 1) % n
+            tau[i], tau[j] = tau[j], tau[i]
+    return validate(n, list(zip(sigma, tau)))
+
+
+@PROPERTY
+@given(grids())
+def test_canonical_key_is_symmetry_invariant(d):
+    key = canonical_key(d)
+    for sym in SYMMETRIES:
+        assert canonical_key(apply_symmetry(d, sym)) == key
+
+
+@PROPERTY
+@given(grids())
+def test_symmetry_group_laws(d):
+    img = d
+    for _ in range(4):
+        img = apply_symmetry(img, "rot90")
+    assert img == d
+    assert apply_symmetry(apply_symmetry(d, "transpose"), "transpose") == d
+    assert apply_symmetry(d, "identity") == d
+
+
+@PROPERTY
+@given(grids())
+def test_canonical_key_decodes_to_canonical_form(d):
+    assert from_canonical_key(canonical_key(d)) == canonical_form(d).diagram
+
+
+@PROPERTY
+@given(grids())
+def test_cycles_cover_each_edge_once(d):
+    cycles = grid_cycles(d)
+    assert component_count(d) == len(cycles)
+    edges = [e for cyc in cycles for e in cyc]
+    assert sorted(e[1] for e in edges if e[0] == "v") == list(range(1, d.n + 1))
+    assert sorted(e[1] for e in edges if e[0] == "h") == list(range(1, d.n + 1))
+
+
+@PROPERTY
+@given(grids())
+def test_text_round_trip(d):
+    assert parse_grid(to_text(d)) == d
+    assert parse_grid(json.dumps(to_json_obj(d))) == d
+
+
+@PROPERTY
+@given(grids(), st.data())
+def test_every_listed_move_and_a_divide_are_undone_by_their_inverses(d, data):
+    divide = data.draw(st.sampled_from(mv.all_divides(d)))
+    for m in [*mv.available_moves(d), divide]:
+        assert mv.apply(mv.apply(d, m), mv.inverse(m, d)) == d
+
+
+GOLDEN_DIGEST = "f28e796676eaf8a3edc208169428c3707b55f9420eb90e2678bba3e7a58af014"
+
+
+def test_symmetry_golden_digest():
+    """Images, keys and canonical forms of a fixed diagram set, byte for byte."""
+    diagrams = [d for n in range(2, 6) for d in enumerate_diagrams(n).representatives]
+    diagrams += [scramble(s, s % 21) for s in range(200)]
+    h = hashlib.sha256()
+    for d in diagrams:
+        for sym in SYMMETRIES:
+            e = apply_symmetry(d, sym)
+            cf = canonical_form(e)
+            h.update(
+                to_text(e).encode()
+                + canonical_key(e)
+                + to_text(cf.diagram).encode()
+                + cf.transform.encode()
+                + bytes([cf.orbit_size])
+            )
+    assert h.hexdigest() == GOLDEN_DIGEST

@@ -17,7 +17,7 @@ def test_interleaved_classification():
 
 def test_trivial_diagram_moves():
     kinds = mv.move_kinds_multiset(mv.available_moves(trivial_diagram()))
-    assert kinds == {"interior_merge": 4, "rotation": 4}
+    assert kinds == {"rotation": 4}
 
 
 def test_stuck_eight_moves(stuck8):
@@ -35,8 +35,13 @@ def test_extremal_three_has_a_merge():
 
 def test_merge_rejected_at_terminal_size():
     t = trivial_diagram()
-    merges = [m for m in mv.available_moves(t) if m.kind is MoveKind.INTERIOR_MERGE]
-    assert merges
+    merges = [mv.interior_merge(axis, i) for axis in Axis for i in (1, 2)]
+    merges += [
+        mv.exterior_merge(axis, i, place)
+        for axis in Axis
+        for i in (1, 2)
+        for place in (mv.LOW, mv.HIGH)
+    ]
     for m in merges:
         with pytest.raises(InapplicableMoveError):
             mv.apply(t, m)
