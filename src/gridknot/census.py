@@ -1,17 +1,27 @@
 """Exhaustive grid-diagram censuses with symmetry reduction and pruning.
 
-The enumerator walks columns left to right, tracking row usage.  The
+The enumerator walks columns left to right from precomputed tables: the
+allowed spans, and for each span the spans the next column may take.  Each
+row keeps the column of its first use and, once used twice, its span.  The
 "stuck" filter (no merges and no interior exchanges available) is applied
-during construction: any column creating an edge of length 1 or n-1, or a
-non-interleaved adjacent pair, kills the whole subtree.  Diagrams are
-counted raw; one canonical representative per dihedral orbit is emitted
-(a diagram is emitted exactly when it equals its own canonical form), so
-parallel workers need no shared state.
+during construction: a column or row of length 1 or n-1, or two adjacent
+columns or rows that are not strictly interleaved, kills the whole subtree.
+
+Work is split by first-column span.  Every census filter is invariant under
+flip_y, which maps the subtree of first span (lo, hi) one-to-one onto that
+of (n+1-hi, n+1-lo).  So only first spans with lo + hi <= n + 1 are
+enumerated, and a subtree with lo + hi < n + 1 is credited twice its raw
+count for its mirror.  No canonical representative starts with
+lo + hi > n + 1, since its flip_y image is smaller at column 1; one
+representative per dihedral orbit is emitted, exactly when a diagram
+equals its own canonical form, so parallel workers need no shared state and
+any job count gives the same result.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -21,9 +31,12 @@ from typing import Callable
 
 from . import moves as mv
 from .grid import (
+    SYMMETRIES,
     GridDiagram,
     GridError,
     SizeError,
+    Span,
+    apply_symmetry,
     canonical_form,
     canonical_key,
     component_count,
@@ -40,9 +53,11 @@ from .simplify import (
     needs_exterior,
 )
 
+CHECKPOINT_VERSION = 2
+
 
 class CheckpointMismatchError(GridError):
-    """A census checkpoint was written for another size or filter."""
+    """A census checkpoint was written for another size, filter or format."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,17 +66,13 @@ class CensusFilter:
 
     stuck_only prunes to diagrams with no edge of length 1 or n-1 and every
     adjacent parallel pair interleaved (equivalently: no merge and no
-    interior exchange is available).  extremes_interleaved_cols additionally
-    requires columns 1 and n to be interleaved (blocks the exterior vertical
-    exchange); extremes_unlocked_rows requires rows 1 and n to be nested or
-    disjoint (admits the exterior horizontal exchange).
+    interior exchange is available).  knots_only and trivial_only are
+    decided once per orbit on its representative.
     """
 
     knots_only: bool = False
     stuck_only: bool = False
     trivial_only: bool = False
-    extremes_interleaved_cols: bool = False
-    extremes_unlocked_rows: bool = False
 
 
 @dataclass(slots=True)
@@ -87,96 +98,82 @@ class CensusResult:
         }
 
 
-def _all_spans(n: int, forbid_lengths: frozenset[int]) -> list[tuple[int, int]]:
-    return [
-        (lo, hi)
-        for lo in range(1, n)
-        for hi in range(lo + 1, n + 1)
-        if hi - lo not in forbid_lengths
-    ]
+@functools.cache
+def _tables(
+    n: int, stuck: bool
+) -> tuple[list[Span], dict[Span, list[Span]], dict[Span, frozenset[Span]]]:
+    """The allowed spans, each span's successors (the spans the next column
+    may take) and the set of spans strictly interleaved with each span."""
+    forbid = (1, n - 1) if stuck else ()
+    spans = [(lo, hi) for lo in range(1, n) for hi in range(lo + 1, n + 1) if hi - lo not in forbid]
+    crossed = {
+        (a, b): frozenset((c, d) for c, d in spans if a < c < b < d or c < a < d < b)
+        for a, b in spans
+    }
+    succ = {s: [t for t in spans if t in crossed[s]] if stuck else spans for s in spans}
+    return spans, succ, crossed
 
 
-def _interleaved_strict(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return mv.interleaved(a, b) is mv.Interleaving.INTERLEAVED
-
-
-def _dfs(
-    n: int,
-    filt: CensusFilter,
-    first_span: tuple[int, int] | None,
-    visit: Callable[[GridDiagram], None],
-) -> int:
-    """Enumerate all valid diagrams (restricted to a first-column subtree if
-    given), calling `visit` on each.  Returns the number visited."""
-    forbid = frozenset({1, n - 1}) if filt.stuck_only else frozenset()
-    spans = _all_spans(n, forbid)
-    if first_span is not None and first_span not in spans:
-        return 0
-    usage = [0] * (n + 1)
-    row_cols: list[list[int]] = [[] for _ in range(n + 1)]
-    chosen: list[tuple[int, int]] = []
+def _subtree(n: int, stuck: bool, first_span: Span, visit: Callable[[GridDiagram], None]) -> int:
+    """Call `visit` on every diagram whose first column is first_span; return
+    how many there were."""
+    _, succ, crossed = _tables(n, stuck)
+    first = [0] * (n + 2)  # column of each row's first use, 0 while unused
+    closed: list[Span | None] = [None] * (n + 2)  # row span once used twice
+    chosen: list[Span] = []
     count = 0
 
-    def row_ok(j: int) -> bool:
-        a, b = row_cols[j]
-        length = abs(b - a)
-        if filt.stuck_only and (length == 1 or length == n - 1):
-            return False
-        span_j = (a, b) if a < b else (b, a)
-        for k in (j - 1, j + 1):
-            if filt.stuck_only and 1 <= k <= n and len(row_cols[k]) == 2:
-                ka, kb = row_cols[k]
-                span_k = (ka, kb) if ka < kb else (kb, ka)
-                if not _interleaved_strict(span_j, span_k):
+    def close(r: int, i: int) -> bool:
+        """Second use of row r, at column i; record its span if allowed."""
+        a = first[r]
+        if stuck:
+            if i - a == 1 or i - a == n - 1:
+                return False
+            near = crossed[(a, i)]
+            for s in (closed[r - 1], closed[r + 1]):
+                if s is not None and s not in near:
                     return False
+        closed[r] = (a, i)
         return True
 
-    def rows_1n_ok() -> bool:
-        if not filt.extremes_unlocked_rows:
-            return True
-        a, b = row_cols[1]
-        c, d = row_cols[n]
-        rel = mv.interleaved((min(a, b), max(a, b)), (min(c, d), max(c, d)))
-        return rel in (mv.Interleaving.NESTED, mv.Interleaving.DISJOINT)
-
-    def place(i: int) -> None:
+    def place(i: int, candidates: list[Span]) -> None:
         nonlocal count
         if i > n:
-            if not rows_1n_ok():
-                return
             count += 1
             visit(GridDiagram(n, tuple(chosen)))
             return
-        candidates = spans if not (i == 1 and first_span) else [first_span]
-        for lo, hi in candidates:
-            if usage[lo] >= 2 or usage[hi] >= 2:
+        for span in candidates:
+            lo, hi = span
+            if closed[lo] or closed[hi]:
                 continue
-            if filt.stuck_only and i >= 2 and not _interleaved_strict(chosen[-1], (lo, hi)):
+            open_lo = not first[lo]
+            if open_lo:
+                first[lo] = i
+            elif not close(lo, i):
                 continue
-            if filt.extremes_interleaved_cols and i == n and not _interleaved_strict(
-                chosen[0], (lo, hi)
-            ):
-                continue
-            usage[lo] += 1
-            usage[hi] += 1
-            row_cols[lo].append(i)
-            row_cols[hi].append(i)
-            ok = True
-            for j in (lo, hi):
-                if usage[j] == 2 and not row_ok(j):
-                    ok = False
-                    break
-            if ok:
-                chosen.append((lo, hi))
-                place(i + 1)
+            open_hi = not first[hi]
+            if open_hi:
+                first[hi] = i
+            if open_hi or close(hi, i):
+                chosen.append(span)
+                place(i + 1, succ[span])
                 chosen.pop()
-            usage[lo] -= 1
-            usage[hi] -= 1
-            row_cols[lo].pop()
-            row_cols[hi].pop()
+                if open_hi:
+                    first[hi] = 0
+                else:
+                    closed[hi] = None
+            if open_lo:
+                first[lo] = 0
+            else:
+                closed[lo] = None
 
-    place(1)
+    place(1, [first_span])
     return count
+
+
+def _first_spans(n: int, stuck: bool) -> list[Span]:
+    """First-column spans with lo + hi <= n + 1; the others are their mirrors."""
+    return [(lo, hi) for lo, hi in _tables(n, stuck)[0] if lo + hi <= n + 1]
 
 
 def _is_minimal_rep(d: GridDiagram) -> bool:
@@ -188,11 +185,10 @@ def _worker_task(args: tuple) -> dict:
     tallies = {"raw": 0, "reps": []}
 
     def visit(d: GridDiagram) -> None:
-        tallies["raw"] += 1
         if _is_minimal_rep(d):
             tallies["reps"].append(d.columns)
 
-    _dfs(n, filt, first_span, visit)
+    tallies["raw"] = _subtree(n, filt.stuck_only, first_span, visit)
     return tallies
 
 
@@ -216,8 +212,7 @@ def enumerate_diagrams(
         raise SizeError(f"census size must be an integer >= 2, got {n!r}")
     filt = filt or CensusFilter()
     start_time = time.monotonic()
-    forbid = frozenset({1, n - 1}) if filt.stuck_only else frozenset()
-    tasks = [(n, filt, span) for span in _all_spans(n, forbid)]
+    tasks = [(n, filt, span) for span in _first_spans(n, filt.stuck_only)]
 
     filt_obj = dataclasses.asdict(filt)
     done_spans: set[tuple[int, int]] = set()
@@ -226,20 +221,29 @@ def enumerate_diagrams(
     if checkpoint and os.path.exists(checkpoint):
         with open(checkpoint) as fh:
             state = json.load(fh)
-        if state.get("n") != n or state.get("filter") != filt_obj:
+        written = (state.get("version"), state.get("n"), state.get("filter"))
+        if written != (CHECKPOINT_VERSION, n, filt_obj):
             raise CheckpointMismatchError(
-                f"checkpoint {checkpoint} was written for n={state.get('n')!r}, "
-                f"filter {state.get('filter')!r}; this run has n={n}, filter {filt_obj!r}"
+                f"checkpoint {checkpoint} was written as version {written[0]!r} for "
+                f"n={written[1]!r}, filter {written[2]!r}; this run writes version "
+                f"{CHECKPOINT_VERSION} for n={n}, filter {filt_obj!r}"
             )
         done_spans = {tuple(s) for s in state["done"]}
         raw = state["raw"]
         rep_cols = [tuple(tuple(p) for p in cols) for cols in state["reps"]]
     pending = [t for t in tasks if t[2] not in done_spans]
 
-    def save_checkpoint() -> None:
+    def record(task: tuple, tall: dict) -> None:
+        """Credit one finished subtree, and its mirror's raw count."""
+        nonlocal raw
+        lo, hi = task[2]
+        raw += tall["raw"] if lo + hi == n + 1 else 2 * tall["raw"]
+        rep_cols.extend(tall["reps"])
+        done_spans.add(task[2])
         if not checkpoint:
             return
         state = {
+            "version": CHECKPOINT_VERSION,
             "n": n,
             "filter": filt_obj,
             "done": sorted(done_spans),
@@ -254,18 +258,11 @@ def enumerate_diagrams(
     if jobs > 1 and len(pending) > 1:
         with multiprocessing.Pool(jobs) as pool:
             for task, tall in zip(pending, pool.imap(_worker_task, pending)):
-                raw += tall["raw"]
-                rep_cols.extend(tall["reps"])
-                done_spans.add(task[2])
-                save_checkpoint()
+                record(task, tall)
         workers = jobs
     else:
         for task in pending:
-            tall = _worker_task(task)
-            raw += tall["raw"]
-            rep_cols.extend(tall["reps"])
-            done_spans.add(task[2])
-            save_checkpoint()
+            record(task, _worker_task(task))
         workers = 1
 
     reps = [GridDiagram(n, cols) for cols in sorted(rep_cols)]
@@ -282,14 +279,7 @@ def enumerate_diagrams(
         if filt.stuck_only:
             result.stuck_count += orbit if is_knot else 0
         if filt.trivial_only:
-            if not is_knot:
-                continue
-            if knot_determinant(d) != 1:
-                continue
-            rep_verdict = is_trivial(d, limits, want_witness=False).verdict
-            if rep_verdict is Verdict.LIMIT_EXCEEDED:
-                raise LimitExceededError(f"triviality search exceeded limits at {d}")
-            if rep_verdict is not Verdict.TRIVIAL:
+            if not is_knot or not _proves_trivial(d, limits):
                 continue
             if filt.stuck_only:
                 result.trivial_stuck_count += orbit
@@ -390,6 +380,17 @@ def knot_determinant(d: GridDiagram) -> int:
     return abs(_bareiss_det(minor))
 
 
+def _proves_trivial(d: GridDiagram, limits: SearchLimits | None) -> bool:
+    """Whether the knot d is trivial; a determinant other than 1 settles it
+    without a search."""
+    if knot_determinant(d) != 1:
+        return False
+    verdict = is_trivial(d, limits, want_witness=False).verdict
+    if verdict is Verdict.LIMIT_EXCEEDED:
+        raise LimitExceededError(f"triviality search exceeded limits at {d}")
+    return verdict is Verdict.TRIVIAL
+
+
 # --- headline census checks --------------------------------------------------
 
 
@@ -406,7 +407,9 @@ def max_stats(n: int) -> tuple[int, int]:
         if st.total_all > best[1]:
             best[1] = st.total_all
 
-    _dfs(n, CensusFilter(), None, visit)
+    # both statistics are flip_y invariant, so the mirror cut loses no maximum
+    for span in _first_spans(n, False):
+        _subtree(n, False, span, visit)
     return best[0], best[1]
 
 
@@ -449,21 +452,11 @@ def verify_stuck_census(
     both_exchanges = True
     all_need = True
     for d in res.representatives:
-        if knot_determinant(d) != 1:
-            continue
-        report = is_trivial(d, limits, want_witness=False)
-        if report.verdict is Verdict.LIMIT_EXCEEDED:
-            raise LimitExceededError(f"triviality search exceeded limits at {d}")
-        if report.verdict is not Verdict.TRIVIAL:
+        if not _proves_trivial(d, limits):
             continue
         trivial.append(d)
         trivial_raw += canonical_form(d).orbit_size
-        axes = {
-            m.axis
-            for m in mv.available_moves(d)
-            if m.kind is mv.MoveKind.EXTERIOR_EXCHANGE
-        }
-        if axes != {mv.Axis.HORIZONTAL, mv.Axis.VERTICAL}:
+        if _exterior_axes(d) != {mv.Axis.HORIZONTAL, mv.Axis.VERTICAL}:
             both_exchanges = False
         if not needs_exterior(d, limits):
             all_need = False
@@ -478,25 +471,29 @@ def verify_stuck_census(
     )
 
 
+def _exterior_axes(d: GridDiagram) -> set[mv.Axis]:
+    return {m.axis for m in mv.available_moves(d) if m.kind is mv.MoveKind.EXTERIOR_EXCHANGE}
+
+
+def _only_exterior_horizontal_image(d: GridDiagram) -> GridDiagram | None:
+    """The first of d's eight images, in SYMMETRIES order, whose only exterior
+    exchange is the horizontal one, or None."""
+    images = (apply_symmetry(d, sym) for sym in SYMMETRIES)
+    return next((im for im in images if _exterior_axes(im) == {mv.Axis.HORIZONTAL}), None)
+
+
 def find_only_exterior_horizontal(
     n: int = 9, jobs: int = 1, limits: SearchLimits | None = None, checkpoint: str | None = None
 ) -> GridDiagram | None:
     """Search for a trivial knot diagram admitting no merge, no vertical
     exchange at all, no interior horizontal exchange, and admitting the
-    exterior horizontal exchange.  Stretch-scale; returns one if found."""
-    filt = CensusFilter(
-        knots_only=True,
-        stuck_only=True,
-        extremes_interleaved_cols=True,
-        extremes_unlocked_rows=True,
-    )
+    exterior horizontal exchange.  Which exterior exchanges a diagram admits
+    depends on its image, so every image of each stuck knot orbit is tried;
+    returns the first that qualifies, or None."""
+    filt = CensusFilter(knots_only=True, stuck_only=True)
     res = enumerate_diagrams(n, filt, jobs=jobs, checkpoint=checkpoint, limits=limits)
     for d in res.representatives:
-        if knot_determinant(d) != 1:
-            continue
-        report = is_trivial(d, limits, want_witness=False)
-        if report.verdict is Verdict.LIMIT_EXCEEDED:
-            raise LimitExceededError(f"triviality search exceeded limits at {d}")
-        if report.verdict is Verdict.TRIVIAL:
-            return d
+        image = _only_exterior_horizontal_image(d)
+        if image is not None and _proves_trivial(image, limits):
+            return image
     return None

@@ -131,10 +131,21 @@ def cmd_render(args) -> dict:
     return {"format": args.format, "grid": grid_mod.to_json_obj(d), "text": text}
 
 
+def _read_record(path: str, *keys: str) -> dict:
+    """A JSON object from a witness or trace file that has all of `keys`."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise grid_mod.GridError(f"{path}: no {', '.join(map(repr, missing))} in the file")
+    return obj
+
+
 def cmd_replay(args) -> dict:
     if args.witness:
-        with open(args.witness) as fh:
-            obj = json.load(fh)
+        obj = _read_record(args.witness, "start", "moves")
+        if not isinstance(obj["moves"], list):
+            raise moves_mod.MoveError(f"{args.witness}: 'moves' is not a list")
         start = grid_mod.from_json_obj(obj["start"])
         seq = tuple(moves_mod.move_from_json_obj(o) for o in obj["moves"])
         witness = simplify_mod.SimplificationWitness(
@@ -144,8 +155,7 @@ def cmd_replay(args) -> dict:
         )
         simplify_mod.replay_witness(witness)
         return {"ok": True, "kind": "witness", "moves": len(seq)}
-    with open(args.trace) as fh:
-        obj = json.load(fh)
+    obj = _read_record(args.trace, "grid", "move")
     d = grid_mod.from_json_obj(obj["grid"])
     m = moves_mod.move_from_json_obj(obj["move"])
     trace = realize_mod.realize(d, m)

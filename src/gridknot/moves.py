@@ -83,12 +83,15 @@ class CromwellMove:
 
 
 def move_from_json_obj(obj: dict) -> CromwellMove:
-    kind = MoveKind(obj["kind"])
-    axis = Axis(obj["axis"])
-    site = tuple(obj.get("site", ()))
-    if kind is MoveKind.DIVIDE:
-        edge, pos, first_low, exterior = site
-        site = (int(edge), int(pos), bool(first_low), bool(exterior))
+    try:
+        kind = MoveKind(obj["kind"])
+        axis = Axis(obj["axis"])
+        site = tuple(obj.get("site", ()))
+        if kind is MoveKind.DIVIDE:
+            edge, pos, first_low, exterior = site
+            site = (int(edge), int(pos), bool(first_low), bool(exterior))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MoveError(f"bad move JSON {obj!r}: {exc!r}") from exc
     return CromwellMove(kind, axis, site)
 
 

@@ -2,7 +2,7 @@
 
 Each test prints a single PASS line with its measured numbers; a failure in
 any of them means the package does not meet its contract.  The size-9
-search is a non-gating stretch target behind GRIDKNOT_STRETCH=1.
+search and census are non-gating stretch targets behind GRIDKNOT_STRETCH=1.
 """
 
 import os
@@ -239,4 +239,27 @@ def test_10_stretch_nine_grid_only_exterior_horizontal():
     _line(
         "10 stretch: nine-grid admitting only the exterior horizontal exchange",
         f"{d.columns}; {time.monotonic() - t0:.1f}s",
+    )
+
+
+@pytest.mark.stretch
+@pytest.mark.skipif(
+    not os.environ.get("GRIDKNOT_STRETCH"),
+    reason="nine-grid census; set GRIDKNOT_STRETCH=1 to run",
+)
+def test_11_stretch_nine_grid_stuck_census():
+    t0 = time.monotonic()
+    # raw counts every stuck diagram, links included; orbits keep knots only
+    res = cs.enumerate_diagrams(9, cs.CensusFilter(knots_only=True, stuck_only=True))
+    assert (res.raw_count, res.orbit_count) == (35_790, 1_853)
+    rep = cs.verify_stuck_census(9)
+    assert rep.stuck_knot_orbits == 1_853
+    assert (len(rep.trivial_orbits), rep.trivial_raw_count) == (18, 144)
+    assert rep.all_need_exterior
+    assert not rep.all_admit_both_exterior_exchanges
+    _line(
+        "11 stretch: stuck census at n=9",
+        f"{res.raw_count} raw, {rep.stuck_knot_orbits} knot orbits, "
+        f"{len(rep.trivial_orbits)} trivial orbits / {rep.trivial_raw_count} raw; "
+        f"{time.monotonic() - t0:.1f}s",
     )

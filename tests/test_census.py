@@ -1,8 +1,19 @@
+import hashlib
+import json
+import os
+
 import pytest
 
 from gridknot import census as cs
 from gridknot import moves as mv
-from gridknot.grid import canonical_form, component_count, trivial_diagram, validate
+from gridknot.grid import (
+    canonical_form,
+    canonical_key,
+    component_count,
+    to_text,
+    trivial_diagram,
+    validate,
+)
 from gridknot.simplify import NotAKnotError, scramble
 
 from conftest import knot_reps
@@ -30,6 +41,43 @@ def test_representatives_match_oracle_orbits(n):
 def test_orbit_sizes_reconcile_to_raw(n):
     res = cs.enumerate_diagrams(n)
     assert sum(canonical_form(d).orbit_size for d in res.representatives) == res.raw_count
+
+
+# pinned from the enumerator as it was before the first-column mirror cut
+GOLDEN = {
+    (6, False): (67_950, 8_791, "9916c8f3c4e24700"),
+    (7, True): (382, 68, "e9abeb2d9dbf8a8b"),
+    (8, True): (3_276, 495, "db751271acf1cf4f"),
+}
+
+
+@pytest.mark.parametrize("n, stuck", sorted(GOLDEN))
+def test_golden_census(n, stuck):
+    res = cs.enumerate_diagrams(n, cs.CensusFilter(stuck_only=stuck))
+    text = "".join(to_text(d) for d in res.representatives)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (res.raw_count, res.orbit_count, digest) == GOLDEN[n, stuck]
+
+
+STRETCH = (
+    pytest.mark.stretch,
+    pytest.mark.skipif(
+        not os.environ.get("GRIDKNOT_STRETCH"),
+        reason="3.1M raw diagrams; set GRIDKNOT_STRETCH=1 to run",
+    ),
+)
+MIRROR_CASES = [(n, stuck) for n in range(2, 8) for stuck in (False, True)] + [(8, True)]
+
+
+@pytest.mark.parametrize(
+    "n, stuck",
+    [pytest.param(*c, marks=STRETCH) if c == (7, False) else c for c in MIRROR_CASES],
+)
+def test_first_span_subtree_counts_equal_their_mirrors(n, stuck):
+    spans = cs._tables(n, stuck)[0]
+    raw = {s: cs._subtree(n, stuck, s, lambda d: None) for s in spans}
+    for lo, hi in spans:
+        assert raw[lo, hi] == raw[n + 1 - hi, n + 1 - lo], (lo, hi)
 
 
 def test_knot_count_at_three():
@@ -138,6 +186,33 @@ def test_census_checkpoint_rejects_other_size(tmp_path):
     assert ckpt.read_bytes() == before
 
 
+def test_census_checkpoint_rejects_old_format(tmp_path):
+    # a first-format checkpoint: no version, and done subtrees counted alone
+    ckpt = tmp_path / "census.ckpt"
+    filt = cs.CensusFilter(stuck_only=True)
+    old = {
+        "n": 6,
+        "filter": {"knots_only": False, "stuck_only": True, "trivial_only": False},
+        "done": [[1, 3]],
+        "raw": 4,
+        "reps": [],
+    }
+    ckpt.write_text(json.dumps(old))
+    before = ckpt.read_bytes()
+    with pytest.raises(cs.CheckpointMismatchError, match="version"):
+        cs.enumerate_diagrams(6, filt, checkpoint=str(ckpt))
+    assert ckpt.read_bytes() == before
+    ckpt.write_text(json.dumps({**old, "version": 1}))
+    with pytest.raises(cs.CheckpointMismatchError):
+        cs.enumerate_diagrams(6, filt, checkpoint=str(ckpt))
+
+
+def test_census_checkpoint_records_version(tmp_path):
+    ckpt = tmp_path / "census.ckpt"
+    cs.enumerate_diagrams(5, cs.CensusFilter(stuck_only=True), checkpoint=str(ckpt))
+    assert json.loads(ckpt.read_text())["version"] == cs.CHECKPOINT_VERSION == 2
+
+
 def test_census_jobs_deterministic():
     one = cs.enumerate_diagrams(5, jobs=1)
     many = cs.enumerate_diagrams(5, jobs=2)
@@ -152,3 +227,34 @@ def test_sink_receives_each_representative_once():
     res = cs.enumerate_diagrams(4, cs.CensusFilter(knots_only=True), sink=seen.append)
     assert seen == res.representatives
     assert len({d.columns for d in seen}) == len(seen)
+
+
+def _exterior_axes(d):
+    return {m.axis for m in mv.available_moves(d) if m.kind is mv.MoveKind.EXTERIOR_EXCHANGE}
+
+
+def test_only_exterior_horizontal_orbits_match_raw_scan():
+    # every raw stuck diagram at n=8, each first span enumerated on its own
+    raw_scan = set()
+
+    def visit(d):
+        if component_count(d) == 1 and _exterior_axes(d) == {mv.Axis.HORIZONTAL}:
+            raw_scan.add(canonical_key(d))
+
+    for span in cs._tables(8, True)[0]:
+        cs._subtree(8, True, span, visit)
+    reps = cs.enumerate_diagrams(8, cs.CensusFilter(knots_only=True, stuck_only=True))
+    found = set()
+    for d in reps.representatives:
+        image = cs._only_exterior_horizontal_image(d)
+        if image is not None:
+            assert canonical_key(image) == canonical_key(d)
+            assert _exterior_axes(image) == {mv.Axis.HORIZONTAL}
+            found.add(canonical_key(d))
+    assert found == raw_scan
+    assert len(found) == 60
+
+
+def test_no_trivial_eight_grid_admits_only_the_exterior_horizontal_exchange():
+    # both stuck trivial orbits at n=8 admit both exterior exchanges in every image
+    assert cs.find_only_exterior_horizontal(8) is None

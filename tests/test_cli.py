@@ -3,7 +3,7 @@ import json
 import pytest
 
 from gridknot import cli
-from gridknot.grid import from_json_obj, to_text, trivial_diagram
+from gridknot.grid import from_json_obj, to_json_obj, to_text, trivial_diagram
 
 
 @pytest.fixture
@@ -113,6 +113,47 @@ def test_forged_trace_replay_fails(capsys, tmp_path, stuck8_file):
         first["sign"] = -first["sign"]
 
     _tampered_trace_is_rejected(capsys, tmp_path, stuck8_file, forge)
+
+
+def _replay_is_rejected(capsys, tmp_path, flag, obj) -> None:
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["replay", flag, str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_witness_without_start_is_domain_error(capsys, tmp_path):
+    _replay_is_rejected(capsys, tmp_path, "--witness", {"moves": []})
+
+
+def test_witness_with_moves_not_a_list_is_domain_error(capsys, tmp_path):
+    start = to_json_obj(trivial_diagram())
+    _replay_is_rejected(capsys, tmp_path, "--witness", {"start": start, "moves": 5})
+
+
+def test_trace_without_grid_is_domain_error(capsys, tmp_path):
+    move = {"kind": "exterior_exchange", "axis": "horizontal", "site": []}
+    _replay_is_rejected(capsys, tmp_path, "--trace", {"move": move})
+
+
+BAD_MOVES = (
+    {"kind": "teleport", "axis": "horizontal", "site": []},
+    {"kind": "rotation", "axis": "diagonal", "site": ["high_to_low"]},
+    {"axis": "horizontal", "site": []},
+    {"kind": "divide", "axis": "vertical", "site": [1]},
+)
+
+
+@pytest.mark.parametrize("move", BAD_MOVES)
+def test_bad_move_in_trace_is_domain_error(capsys, tmp_path, move):
+    grid = to_json_obj(trivial_diagram())
+    _replay_is_rejected(capsys, tmp_path, "--trace", {"grid": grid, "move": move})
+
+
+@pytest.mark.parametrize("move", BAD_MOVES)
+def test_bad_move_in_witness_is_domain_error(capsys, tmp_path, move):
+    start = to_json_obj(trivial_diagram())
+    _replay_is_rejected(capsys, tmp_path, "--witness", {"start": start, "moves": [move]})
 
 
 def test_census_checkpoint_mismatch_exit_code(capsys, tmp_path):
