@@ -80,12 +80,17 @@ class LengthStats:
     crossing_count: int
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate(n: int, columns: Sequence[Sequence[int]]) -> GridDiagram:
     """Check raw input and return a GridDiagram, or raise a GridError.
 
+    The size and every row value must be integers (not bools or floats).
     Column pairs may come in either order; they are normalized to (lo, hi).
     """
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise SizeError(f"grid size must be an integer >= 2, got {n!r}")
     if len(columns) != n:
         raise RowCountError(f"expected {n} columns, got {len(columns)}")
@@ -93,7 +98,9 @@ def validate(n: int, columns: Sequence[Sequence[int]]) -> GridDiagram:
     for i, pair in enumerate(columns, start=1):
         if len(pair) != 2:
             raise GridError(f"column {i} is not a pair: {pair!r}")
-        a, b = int(pair[0]), int(pair[1])
+        a, b = pair
+        if not (_is_int(a) and _is_int(b)):
+            raise GridError(f"column {i} has a row that is not an integer: {pair!r}")
         if a == b:
             raise DegenerateColumnError(f"column {i} has zero length (lo == hi == {a})")
         lo, hi = (a, b) if a < b else (b, a)
@@ -317,7 +324,10 @@ def from_text(text: str) -> GridDiagram:
         a, sep, b = token.partition("-")
         if not sep:
             raise GridError(f"bad span token {token!r}")
-        cols.append((int(a), int(b)))
+        try:
+            cols.append((int(a), int(b)))
+        except ValueError as exc:
+            raise GridError(f"bad span token {token!r}") from exc
     return validate(n, cols)
 
 
@@ -327,7 +337,7 @@ def to_json_obj(d: GridDiagram) -> dict:
 
 def from_json_obj(obj: dict) -> GridDiagram:
     try:
-        return validate(int(obj["n"]), obj["columns"])
+        return validate(obj["n"], obj["columns"])
     except (KeyError, TypeError) as exc:
         raise GridError(f"bad grid JSON: {exc}") from exc
 

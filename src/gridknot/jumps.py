@@ -14,7 +14,7 @@ meets the diagram transversally with no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import moves as mv
 from .grid import GridDiagram, SizeError, apply_symmetry, crossings, grid_cycles
@@ -22,6 +22,7 @@ from .grid import GridDiagram, SizeError, apply_symmetry, crossings, grid_cycles
 BOUND_KINDS = ("exterior_exchange", "exterior_merge", "rotation")
 
 Point = tuple[int, int]
+Edge = tuple[str, int, int, int]
 
 
 class JumpError(ValueError):
@@ -57,6 +58,10 @@ def bound_kind_of(m: mv.CromwellMove) -> str:
     raise JumpError(f"{m.kind.value} has no move-count bound")
 
 
+def _derived():
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True, slots=True)
 class JumpSpec:
     """One jump: carry the horizontal edge at `row` of `host` (plus its two
@@ -65,40 +70,80 @@ class JumpSpec:
     transposed marks jumps that came from a vertical-axis move: the host is
     the transpose of the caller's diagram and the carried strand is an
     understrand there (strand_role == "under").
+
+    The strand's geometry is derived once, at construction:
+      c_left, c_right   columns of the two attached verticals,
+      e_left, e_right   heights of their free endpoints,
+      crossings_by_row  swept row -> sorted columns of the region's interior
+                        crossings on that row,
+      enters_left       whether the walk of the carrying component reaches
+                        the strand up column c_left,
+      chain             that component's other edges, in walk order from
+                        where the walk leaves the strand to where it
+                        comes back,
+      others            the remaining components, as grid_cycles lists them.
     """
 
     host: GridDiagram
     row: int
     direction: int  # -1 down, +1 up
     transposed: bool
+    c_left: int = _derived()
+    c_right: int = _derived()
+    e_left: int = _derived()
+    e_right: int = _derived()
+    crossings_by_row: dict[int, tuple[int, ...]] = _derived()
+    enters_left: bool = _derived()
+    chain: tuple[Edge, ...] = _derived()
+    others: tuple[list[Edge], ...] = _derived()
+
+    def __post_init__(self) -> None:
+        host, j0 = self.host, self.row
+        c_left, c_right = host.row_spans()[j0 - 1]
+        lo, hi = host.columns[c_left - 1]
+        e_left = lo if hi == j0 else hi
+        lo, hi = host.columns[c_right - 1]
+        e_right = lo if hi == j0 else hi
+        swept = set(self.swept_rows())
+        by_row: dict[int, list[int]] = {}
+        for cr in crossings(host):
+            if c_left < cr.column < c_right and cr.row in swept:
+                by_row.setdefault(cr.row, []).append(cr.column)
+        others = []
+        for cyc in grid_cycles(host):
+            top = next((t for t, e in enumerate(cyc) if e[0] == "h" and e[1] == j0), None)
+            if top is None:
+                others.append(cyc)
+                continue
+            # the top edge sits between the strand's two verticals
+            m = len(cyc)
+            enters_left = cyc[top - 1][1] == c_left
+            chain = tuple(cyc[(top + 2 + k) % m] for k in range(m - 3))
+        for name, value in (
+            ("c_left", c_left),
+            ("c_right", c_right),
+            ("e_left", e_left),
+            ("e_right", e_right),
+            ("crossings_by_row", {y: tuple(sorted(xs)) for y, xs in by_row.items()}),
+            ("enters_left", enters_left),
+            ("chain", chain),
+            ("others", tuple(others)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def strand_role(self) -> str:
         return "under" if self.transposed else "over"
 
-    def strip(self) -> tuple[int, int]:
-        return self.host.row_spans()[self.row - 1]
-
-    def far_ends(self) -> tuple[int, int]:
-        """Heights of the free endpoints of the two attached verticals."""
-        c_left, c_right = self.strip()
-        lo, hi = self.host.columns[c_left - 1]
-        e_left = lo if hi == self.row else hi
-        lo, hi = self.host.columns[c_right - 1]
-        e_right = lo if hi == self.row else hi
-        return e_left, e_right
-
     def check(self) -> None:
-        c_left, c_right = self.strip()
-        e_left, e_right = self.far_ends()
-        for c, e in ((c_left, e_left), (c_right, e_right)):
+        for c, e in ((self.c_left, self.e_left), (self.c_right, self.e_right)):
             span = self.host.columns[c - 1]
             want = (e, self.row) if self.direction < 0 else (self.row, e)
             if span != want:
                 raise DegenerateGeometryError(
                     f"column {c} does not attach to row {self.row} from the swept side"
                 )
-        for v in range(c_left + 1, c_right):
+        for v in range(self.c_left + 1, self.c_right):
             lo, hi = self.host.columns[v - 1]
             if lo < self.row < hi:
                 raise DegenerateGeometryError(
@@ -111,65 +156,42 @@ class JumpSpec:
         return 2 if self.direction < 0 else 4 * self.host.n + 2
 
     def s_path(self) -> list[Point]:
-        c_left, c_right = self.strip()
-        e_left, e_right = self.far_ends()
         return [
-            (4 * c_left, 4 * e_left),
-            (4 * c_left, 4 * self.row),
-            (4 * c_right, 4 * self.row),
-            (4 * c_right, 4 * e_right),
+            (4 * self.c_left, 4 * self.e_left),
+            (4 * self.c_left, 4 * self.row),
+            (4 * self.c_right, 4 * self.row),
+            (4 * self.c_right, 4 * self.e_right),
         ]
 
-    def u_path(self) -> list[Point]:
-        c_left, c_right = self.strip()
-        e_left, e_right = self.far_ends()
-        t = self.target_level()
-        return [
-            (4 * c_left, 4 * e_left),
-            (4 * c_left, t),
-            (4 * c_right, t),
-            (4 * c_right, 4 * e_right),
-        ]
+    def s_position(self, pt: Point) -> int:
+        """Arclength along the carried strand, from its west end, of a point
+        on it."""
+        x, y = pt
+        left_len = 4 * abs(self.row - self.e_left)
+        if x == 4 * self.c_left:
+            return abs(y - 4 * self.e_left)
+        if x == 4 * self.c_right:
+            return left_len + 4 * (self.c_right - self.c_left) + abs(4 * self.row - y)
+        return left_len + (x - 4 * self.c_left)
 
-    def q_polygon(self) -> list[Point]:
-        """The disk bounded by s and u: a rectangle in scaled coordinates."""
-        c_left, c_right = self.strip()
-        y0, y1 = sorted((4 * self.row, self.target_level()))
-        return [(4 * c_left, y0), (4 * c_right, y0), (4 * c_right, y1), (4 * c_left, y1)]
+    def s_point(self, pos: int) -> Point:
+        """The point of the carried strand at arclength pos; inverse of
+        s_position."""
+        left_len = 4 * abs(self.row - self.e_left)
+        top_len = 4 * (self.c_right - self.c_left)
+        if pos <= left_len:
+            sign = 1 if self.row > self.e_left else -1
+            return (4 * self.c_left, 4 * self.e_left + sign * pos)
+        if pos <= left_len + top_len:
+            return (4 * self.c_left + pos - left_len, 4 * self.row)
+        sign = 1 if self.e_right > self.row else -1
+        return (4 * self.c_right, 4 * self.row + sign * (pos - left_len - top_len))
 
     def swept_rows(self) -> range:
         """Rows crossed by the sweep, in processing order."""
         if self.direction < 0:
             return range(self.row - 1, 0, -1)
         return range(self.row + 1, self.host.n + 1)
-
-    def interior_crossings(self) -> list[tuple[int, int]]:
-        c_left, c_right = self.strip()
-        swept = set(self.swept_rows())
-        return [
-            (cr.column, cr.row)
-            for cr in crossings(self.host)
-            if c_left < cr.column < c_right and cr.row in swept
-        ]
-
-    def to_json_obj(self) -> dict:
-        from .grid import to_json_obj
-
-        return {
-            "host": to_json_obj(self.host),
-            "row": self.row,
-            "direction": self.direction,
-            "transposed": self.transposed,
-            "strand_role": self.strand_role,
-            "s": self.s_path(),
-            "u": self.u_path(),
-            "q": self.q_polygon(),
-        }
-
-
-def _transpose_move(m: mv.CromwellMove) -> mv.CromwellMove:
-    axis = mv.Axis.HORIZONTAL if m.axis is mv.Axis.VERTICAL else mv.Axis.VERTICAL
-    return mv.CromwellMove(m.kind, axis, m.site)
 
 
 def jump_decomposition(d: GridDiagram, m: mv.CromwellMove) -> list[JumpSpec]:
@@ -180,16 +202,17 @@ def jump_decomposition(d: GridDiagram, m: mv.CromwellMove) -> list[JumpSpec]:
     intermediate diagram.  Vertical-axis moves are handled on the transposed
     diagram, where the carried strand is an understrand.
     """
-    if m.axis is mv.Axis.VERTICAL:
-        dt = apply_symmetry(d, "transpose")
-        specs = jump_decomposition(dt, _transpose_move(m))
-        return [JumpSpec(s.host, s.row, s.direction, transposed=True) for s in specs]
+    transposed = m.axis is mv.Axis.VERTICAL
+    if transposed:
+        d, m = apply_symmetry(d, "transpose"), mv.flip_axis(m)
 
     n = d.n
     kind = m.kind
     if kind is mv.MoveKind.ROTATION:
         (direction,) = m.site
-        spec = JumpSpec(d, n, -1, False) if direction == mv.TO_LOW else JumpSpec(d, 1, +1, False)
+        spec = (
+            JumpSpec(d, n, -1, transposed) if direction == mv.TO_LOW else JumpSpec(d, 1, +1, transposed)
+        )
         spec.check()
         return [spec]
 
@@ -197,7 +220,9 @@ def jump_decomposition(d: GridDiagram, m: mv.CromwellMove) -> list[JumpSpec]:
         connector, placement = m.site
         if d.columns[connector - 1] != (1, n):
             raise mv.InapplicableMoveError(f"column {connector} does not span rows 1..{n}")
-        spec = JumpSpec(d, n, -1, False) if placement == mv.LOW else JumpSpec(d, 1, +1, False)
+        spec = (
+            JumpSpec(d, n, -1, transposed) if placement == mv.LOW else JumpSpec(d, 1, +1, transposed)
+        )
         spec.check()
         return [spec]
 
@@ -211,13 +236,13 @@ def jump_decomposition(d: GridDiagram, m: mv.CromwellMove) -> list[JumpSpec]:
         top_len = rows[n - 1][1] - rows[n - 1][0]
         bottom_len = rows[0][1] - rows[0][0]
         if top_len >= bottom_len:
-            first = JumpSpec(d, n, -1, False)
+            first = JumpSpec(d, n, -1, transposed)
             mid = mv.apply(d, mv.rotation(mv.Axis.HORIZONTAL, mv.TO_LOW))
-            second = JumpSpec(mid, 2, +1, False)
+            second = JumpSpec(mid, 2, +1, transposed)
         else:
-            first = JumpSpec(d, 1, +1, False)
+            first = JumpSpec(d, 1, +1, transposed)
             mid = mv.apply(d, mv.rotation(mv.Axis.HORIZONTAL, mv.TO_HIGH))
-            second = JumpSpec(mid, n - 1, -1, False)
+            second = JumpSpec(mid, n - 1, -1, transposed)
         first.check()
         second.check()
         return [first, second]
@@ -346,28 +371,14 @@ def region_graph(spec: JumpSpec) -> tuple[list[RegionEdge], list[tuple[int, int]
     Bends of the diagram are interior points of arcs.
     """
     spec.check()
-    host = spec.host
     j0 = spec.row
-    c_left, c_right = spec.strip()
-    e_left, e_right = spec.far_ends()
+    c_left, c_right = spec.c_left, spec.c_right
+    e_left, e_right = spec.e_left, spec.e_right
+    s_position = spec.s_position
     down = spec.direction < 0
     swept = set(spec.swept_rows())
-    interior = set(spec.interior_crossings())
-    cross_by_row: dict[int, list[int]] = {}
-    for x, y in interior:
-        cross_by_row.setdefault(y, []).append(x)
-
-    s_pts = spec.s_path()
-
-    def s_position(pt: Point) -> int:
-        x, y = pt
-        left_len = abs(s_pts[1][1] - s_pts[0][1])
-        top_len = s_pts[2][0] - s_pts[1][0]
-        if x == 4 * c_left:
-            return abs(y - s_pts[0][1])
-        if x == 4 * c_right:
-            return left_len + top_len + abs(s_pts[2][1] - y)
-        return left_len + (x - 4 * c_left)
+    cross_by_row = spec.crossings_by_row
+    interior = {(x, y) for y, xs in cross_by_row.items() for x in xs}
 
     def side_end(col_line: int, j: int) -> tuple:
         far = e_left if col_line == c_left else e_right
@@ -387,7 +398,7 @@ def region_graph(spec: JumpSpec) -> tuple[list[RegionEdge], list[tuple[int, int]
         step = 1 if b > a else -1
         marks = [
             (x, ("X", x, row))
-            for x in cross_by_row.get(row, [])
+            for x in cross_by_row.get(row, ())
             if min(a, b) < x < max(a, b)
         ] + [
             (c, side_end(c, row))
@@ -447,35 +458,22 @@ def region_graph(spec: JumpSpec) -> tuple[list[RegionEdge], list[tuple[int, int]
             else:
                 walker.extend(pt)
 
-    edges: list[RegionEdge] = []
-    for cyc in grid_cycles(host):
-        m = len(cyc)
-        s_at = [
-            t
-            for t, e in enumerate(cyc)
-            if (e[0] == "h" and e[1] == j0) or (e[0] == "v" and e[1] in (c_left, c_right))
-        ]
-        if s_at:
-            if len(s_at) != 3:
-                raise DegenerateGeometryError("carried strand is not three edges")
-            top_pos = next(t for t in s_at if cyc[t][0] == "h")
-            walker = _ArcWalker(armed=True)
-            for k in range(m - 3):
-                e = cyc[(top_pos + 2 + k) % m]
-                if e[0] == "v":
-                    walk_vertical(walker, e[1], e[2], e[3])
-                else:
-                    walk_horizontal(walker, e[1], e[2], e[3])
-            if walker.is_open:
-                raise DegenerateGeometryError("chain ended without closing its arc")
-            edges.extend(walker.edges)
-            continue
+    def walk(walker: _ArcWalker, e: Edge) -> None:
+        if e[0] == "v":
+            walk_vertical(walker, e[1], e[2], e[3])
+        else:
+            walk_horizontal(walker, e[1], e[2], e[3])
+
+    walker = _ArcWalker(armed=True)
+    for e in spec.chain:
+        walk(walker, e)
+    if walker.is_open:
+        raise DegenerateGeometryError("chain ended without closing its arc")
+    edges = walker.edges
+    for cyc in spec.others:
         walker = _ArcWalker(armed=False)
-        for e in list(cyc) * 2:
-            if e[0] == "v":
-                walk_vertical(walker, e[1], e[2], e[3])
-            else:
-                walk_horizontal(walker, e[1], e[2], e[3])
+        for e in cyc * 2:
+            walk(walker, e)
             if walker.done:
                 break
         if walker.armed:
@@ -570,32 +568,11 @@ def sigma(spec: JumpSpec) -> SigmaBreakdown:
 
 def _s_subpath(spec: JumpSpec, pos_a: int, pos_b: int) -> list[Point]:
     """Polyline along the carried strand between two arclength positions."""
-    pts = spec.s_path()
-    lengths = [
-        abs(pts[1][1] - pts[0][1]),
-        pts[2][0] - pts[1][0],
-        abs(pts[3][1] - pts[2][1]),
-    ]
-
-    def at(pos: int) -> Point:
-        if pos <= lengths[0]:
-            sign = 1 if pts[1][1] > pts[0][1] else -1
-            return (pts[0][0], pts[0][1] + sign * pos)
-        pos2 = pos - lengths[0]
-        if pos2 <= lengths[1]:
-            return (pts[1][0] + pos2, pts[1][1])
-        pos3 = pos2 - lengths[1]
-        sign = 1 if pts[3][1] > pts[2][1] else -1
-        return (pts[2][0], pts[2][1] + sign * pos3)
-
     lo, hi = sorted((pos_a, pos_b))
-    waypoints = [at(lo)]
-    cum = 0
-    for seg_len, corner in zip(lengths[:2], (pts[1], pts[2])):
-        cum += seg_len
-        if lo < cum < hi:
-            waypoints.append(corner)
-    waypoints.append(at(hi))
+    corners = spec.s_path()[1:3]
+    waypoints = [spec.s_point(lo)]
+    waypoints += [c for c in corners if lo < spec.s_position(c) < hi]
+    waypoints.append(spec.s_point(hi))
     if pos_a > pos_b:
         waypoints.reverse()
     return waypoints

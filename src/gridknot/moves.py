@@ -82,6 +82,12 @@ class CromwellMove:
         return {"kind": self.kind.value, "axis": self.axis.value, "site": list(self.site)}
 
 
+def flip_axis(m: CromwellMove) -> CromwellMove:
+    """The same move on the other axis: its image under transposition."""
+    axis = Axis.HORIZONTAL if m.axis is Axis.VERTICAL else Axis.VERTICAL
+    return CromwellMove(m.kind, axis, m.site)
+
+
 def move_from_json_obj(obj: dict) -> CromwellMove:
     try:
         kind = MoveKind(obj["kind"])
@@ -260,8 +266,7 @@ def apply(d: GridDiagram, m: CromwellMove) -> GridDiagram:
     horizontal implementation, then transposed back.
     """
     if m.axis is Axis.VERTICAL:
-        flipped = CromwellMove(m.kind, Axis.HORIZONTAL, m.site)
-        return apply_symmetry(apply(apply_symmetry(d, "transpose"), flipped), "transpose")
+        return apply_symmetry(apply(apply_symmetry(d, "transpose"), flip_axis(m)), "transpose")
 
     n = d.n
     kind = m.kind
@@ -380,9 +385,7 @@ def apply(d: GridDiagram, m: CromwellMove) -> GridDiagram:
 def inverse(m: CromwellMove, before: GridDiagram) -> CromwellMove:
     """The move undoing m, given the diagram m applies to."""
     if m.axis is Axis.VERTICAL:
-        flipped = CromwellMove(m.kind, Axis.HORIZONTAL, m.site)
-        inv = inverse(flipped, apply_symmetry(before, "transpose"))
-        return CromwellMove(inv.kind, Axis.VERTICAL, inv.site)
+        return flip_axis(inverse(flip_axis(m), apply_symmetry(before, "transpose")))
 
     n = before.n
     kind = m.kind

@@ -1,14 +1,17 @@
 """Realizing exterior moves and rotations as explicit Reidemeister sequences.
 
 The carried strand (an extreme horizontal edge plus its two attached
-verticals) sweeps monotonically across the jump region: an event queue over
-the rows it passes emits one R3 per interior crossing passed, an R2 pair
-where a vertical strand begins and ends inside the strip, and an R1 exactly
-where a row hangs off one of the strand's own endpoints.  Every intermediate
-state is an explicit rectilinear polyline on the scaled integer grid; each
-emitted move is cross-checked by replaying it combinatorially and comparing
-against a fresh geometric extraction of the post-state, so the recorded
-trace is guaranteed replayable.
+verticals) sweeps monotonically across the jump region, one swept row at a
+time.  At each row that overlaps the strip, one batch carries the row's
+crossings with the strand from a source end to a sink end: it opens with an
+R2 pair where the row's crossings with the strand are born at both ends, an
+R1 where the row hangs off one of the strand's own endpoints, or a slide of
+a dying crossing; it emits one R3 per interior crossing on the row; and it
+closes by handing the crossing over to the sink, or cancelling it there by
+R2 or R1.  Every intermediate state is an explicit rectilinear polyline on
+the scaled integer grid; each emitted move is cross-checked by replaying it
+combinatorially and comparing against a fresh geometric extraction of the
+post-state, so the recorded trace is guaranteed replayable.
 
 Vertical-axis moves run on the transposed grid (where the carried strand is
 an understrand) and the finished trace is transposed back.
@@ -190,10 +193,8 @@ class _MState:
 
 
 def _m_polyline(spec: JumpSpec, st: _MState) -> list[Point]:
-    c_left, c_right = spec.strip()
-    e_left, e_right = spec.far_ends()
-    xl, xr = 4 * c_left, 4 * c_right
-    pts: list[Point] = [(xl, 4 * e_left)]
+    xl, xr = 4 * spec.c_left, 4 * spec.c_right
+    pts: list[Point] = [(xl, 4 * spec.e_left)]
     if st.dip is None:
         pts += [(xl, st.flat_y), (xr, st.flat_y)]
     else:
@@ -206,7 +207,7 @@ def _m_polyline(spec: JumpSpec, st: _MState) -> list[Point]:
             pts += [(xr, dy)]
         else:
             pts += [(hi, dy), (hi, st.flat_y), (xr, st.flat_y)]
-    pts.append((xr, 4 * e_right))
+    pts.append((xr, 4 * spec.e_right))
     return pts
 
 
@@ -231,8 +232,7 @@ class _SweepContext:
     def moving_positions(self, st: _MState) -> dict[Point, str]:
         spec = self.spec
         host = spec.host
-        c_left, c_right = spec.strip()
-        e_left, e_right = spec.far_ends()
+        c_left, c_right = spec.c_left, spec.c_right
         xl, xr = 4 * c_left, 4 * c_right
         rows = host.row_spans()
         out: dict[Point, str] = {}
@@ -245,8 +245,8 @@ class _SweepContext:
         west_y = dy if (st.dip and lo == xl) else st.flat_y
         east_y = dy if (st.dip and hi == xr) else st.flat_y
         for side, x_line, col, far, y_end in (
-            ("postL", xl, c_left, e_left, west_y),
-            ("postR", xr, c_right, e_right, east_y),
+            ("postL", xl, c_left, spec.e_left, west_y),
+            ("postR", xr, c_right, spec.e_right, east_y),
         ):
             y1, y2 = sorted((4 * far, y_end))
             for r in range(1, host.n + 1):
@@ -268,34 +268,16 @@ class _SweepContext:
 
     def extract(self, st: _MState) -> PlanarDiagram:
         spec = self.spec
-        host = spec.host
-        j0 = spec.row
-        c_left, c_right = spec.strip()
-        cycles = []
-        moving = self.moving_positions(st)
-        for cyc in grid_cycles(host):
-            m = len(cyc)
-            s_at = [
-                t
-                for t, e in enumerate(cyc)
-                if (e[0] == "h" and e[1] == j0) or (e[0] == "v" and e[1] in (c_left, c_right))
-            ]
-            if not s_at:
-                cycles.append([(False, _grid_edge_polyline(e)) for e in cyc])
-                continue
-            top_pos = next(t for t in s_at if cyc[t][0] == "h")
-            chain: list[tuple[bool, list[Point]]] = []
-            m_pts = _m_polyline(spec, st)
-            before = cyc[(top_pos - 1) % m]
-            # orient the moving polyline to match the traversal direction
-            enters_left = before[1] == c_left
-            chain.append((True, m_pts if enters_left else list(reversed(m_pts))))
-            for k in range(m - 3):
-                e = cyc[(top_pos + 2 + k) % m]
-                chain.append((False, _grid_edge_polyline(e)))
-            cycles.append(chain)
+        m_pts = _m_polyline(spec, st)
+        # orient the moving polyline to match the traversal direction
+        chain = [(True, m_pts if spec.enters_left else m_pts[::-1])]
+        chain += [(False, _grid_edge_polyline(e)) for e in spec.chain]
+        cycles = [chain] + [[(False, _grid_edge_polyline(e)) for e in cyc] for cyc in spec.others]
         return _extract_cycles(
-            cycles, moving_over=True, moving_labels=moving, static_labels=self.static_label
+            cycles,
+            moving_over=True,
+            moving_labels=self.moving_positions(st),
+            static_labels=self.static_label,
         )
 
     # -- move emission ----------------------------------------------------------
@@ -339,8 +321,7 @@ class _SweepContext:
         )
 
     def slide(self, new_state: _MState) -> None:
-        post = self.extract(new_state)
-        if not (_same_diagram(self.diagram, post) or _same_diagram(self.diagram, _reverse_diagram(post))):
+        if not _same_either_way(self.diagram, self.extract(new_state)):
             raise SweepObstructionError("slide changed the diagram structurally")
         self.state = new_state
 
@@ -361,6 +342,11 @@ def _same_diagram(p1: PlanarDiagram, p2: PlanarDiagram) -> bool:
         if not any(tuple(c1[r:] + c1[:r]) == c2 for r in range(max(1, len(c1)))):
             return False
     return True
+
+
+def _same_either_way(p1: PlanarDiagram, p2: PlanarDiagram) -> bool:
+    """p1 and p2 are the same diagram, p2 possibly traversed backwards."""
+    return _same_diagram(p1, p2) or _same_diagram(p1, _reverse_diagram(p2))
 
 
 def _build_record(kind: str, pre: PlanarDiagram, post: PlanarDiagram, payload: dict) -> ReidemeisterMove:
@@ -420,63 +406,48 @@ def _build_record(kind: str, pre: PlanarDiagram, post: PlanarDiagram, payload: d
 
 @dataclass(frozen=True, slots=True)
 class _EndEvent:
-    kind: str  # "corner" | "post" | "attach" | "none"
-    value: int  # +1 born, -1 died, 0 otherwise
+    side: str  # "west" | "east"
+    kind: str  # "corner" | "post" | "attach"
+    value: int  # +1 born, -1 died, 0 at an attach end
     x: int  # scaled x position of the event
 
 
-def _classify_end(spec: JumpSpec, j: int, end_col: int, other_col: int, side: str) -> _EndEvent:
-    host = spec.host
-    c_left, c_right = spec.strip()
-    e_left, e_right = spec.far_ends()
+def _classify_end(spec: JumpSpec, j: int, end_col: int, side: str) -> _EndEvent:
+    """What happens where row j, which overlaps the strip, ends on `side`:
+    a crossing with a post (a vertical of the strand) is born or dies, the
+    row attaches to the strand's own endpoint, or a vertical inside the
+    strip begins or ends there (a corner)."""
     down = spec.direction < 0
-    post_col, far = (c_left, e_left) if side == "west" else (c_right, e_right)
-    lo_lim, hi_lim = (c_left, c_right)
+    post_col, far = (spec.c_left, spec.e_left) if side == "west" else (spec.c_right, spec.e_right)
     beyond = (end_col < post_col) if side == "west" else (end_col > post_col)
     if beyond:
-        if (other_col < post_col) == (end_col < post_col):
-            return _EndEvent("none", 0, 0)  # row entirely outside on this side
         born = (j < far) if down else (j > far)
-        return _EndEvent("post", 1 if born else -1, 4 * post_col)
+        return _EndEvent(side, "post", 1 if born else -1, 4 * post_col)
     if end_col == post_col:
         if j != far:
             raise SweepObstructionError(f"row {j} attaches at an impossible height")
-        return _EndEvent("attach", 0, 4 * post_col)
-    if not (lo_lim < end_col < hi_lim):
-        return _EndEvent("none", 0, 0)
-    a, b = host.columns[end_col - 1]
-    if down:
-        born = b == j  # vertical hangs below the row
-    else:
-        born = a == j  # vertical rises above the row
-    return _EndEvent("corner", 1 if born else -1, 4 * end_col)
+        return _EndEvent(side, "attach", 0, 4 * post_col)
+    a, b = spec.host.columns[end_col - 1]
+    # born where the vertical hangs below the row (down) or rises above it (up)
+    born = (b == j) if down else (a == j)
+    return _EndEvent(side, "corner", 1 if born else -1, 4 * end_col)
 
 
 def _sweep_jump(ctx: _SweepContext) -> None:
     spec = ctx.spec
-    host = spec.host
-    c_left, c_right = spec.strip()
     down = spec.direction < 0
-    rows = host.row_spans()
+    rows = spec.host.row_spans()
     for j in spec.swept_rows():
         before_y = 4 * j + (1 if down else -1)
         after_y = 4 * j - (1 if down else -1)
         ctx.slide(_MState(flat_y=before_y))
         lj, rj = rows[j - 1]
-        if rj <= c_left or lj >= c_right:
+        if rj <= spec.c_left or lj >= spec.c_right:
             continue
-        west = _classify_end(spec, j, lj, rj, "west")
-        east = _classify_end(spec, j, rj, lj, "east")
-        statics = sorted(
-            cr.column for cr in crossings(host) if cr.row == j and c_left < cr.column < c_right
-        )
-        net = west.value + east.value
-        if west.kind == "none" and east.kind == "none":
-            if statics:
-                raise SweepObstructionError(f"row {j} has crossings but no strand events")
-            ctx.slide(_MState(flat_y=after_y))
-            continue
-        if net == 0 and west.value == 0 and east.value == 0:
+        west = _classify_end(spec, j, lj, "west")
+        east = _classify_end(spec, j, rj, "east")
+        statics = spec.crossings_by_row.get(j, ())
+        if west.value == 0 and east.value == 0:
             if statics:
                 raise SweepObstructionError(f"row {j} is a closed pocket with crossings")
             ctx.slide(_MState(flat_y=after_y))
@@ -485,140 +456,75 @@ def _sweep_jump(ctx: _SweepContext) -> None:
     ctx.slide(_MState(flat_y=spec.target_level()))
 
 
-def _host_key(spec: JumpSpec, ev: _EndEvent, j: int, side: str) -> tuple:
+def _host_key(ev: _EndEvent, j: int) -> tuple:
     if ev.kind == "corner":
         return ("v", ev.x // 4)
     if ev.kind == "post":
-        return ("postL" if side == "west" else "postR", j)
+        return ("postL" if ev.side == "west" else "postR", j)
     raise SweepObstructionError("no resting place at an attach end")
 
 
 def _run_batch(ctx, j, before_y, after_y, west, east, statics) -> None:
-    """Execute all moves for the passage of one row."""
-    spec = ctx.spec
-    c_left, c_right = spec.strip()
-    xl, xr = 4 * c_left, 4 * c_right
-    reg = ctx.registry
-    net = west.value + east.value
+    """Execute all moves for the passage of one row.
 
-    def dip(lo, hi):
+    The row's crossings with the strand run from the source end, the one
+    with the smaller event value (west on a tie), to the sink end.  The
+    source opens a dip of the strand below (or above) the row: an R2 pair
+    when both ends are born, a kink at an attach end, or a slide of the dying
+    crossing into the dip.  The dip's sink-side wall then passes every static
+    crossing of the row by R3, and the sink closes: a born end takes the
+    wall's crossing, a dying end cancels it by R2, an attach end by R1.
+    """
+    reg = ctx.registry
+    eastward = west.value <= east.value
+    if eastward:
+        source, sink, step, xs = west, east, 1, statics
+        wall, back_wall = ("wall_hi",), ("wall_lo",)
+    else:
+        source, sink, step, xs = east, west, -1, statics[::-1]
+        wall, back_wall = ("wall_lo",), ("wall_hi",)
+
+    def dip(near: int, far: int) -> _MState:
+        lo, hi = (near, far) if eastward else (far, near)
         return _MState(flat_y=before_y, dip=(lo, hi, after_y))
 
-    # wall tracks for the propagating crossing
-    def walls_eastward():
-        return [4 * x + 1 for x in statics]
-
-    def walls_westward():
-        return [4 * x - 1 for x in reversed(statics)]
-
-    def r3_labels(x, wall_key):
-        return [ctx.static_label[(4 * x, 4 * j)], reg[("v", x)], reg[wall_key]]
-
-    if net == 2:
-        lo0 = west.x + 1
-        hi0 = (4 * statics[0] - 1) if statics else (east.x - 1)
-        k_w, k_e = ctx.new_label(), ctx.new_label()
-        reg[("wall_lo",)] = k_w
-        reg[("wall_hi",)] = k_e
-        ctx.emit("r2_create", {"labels": [k_w, k_e]}, dip(lo0, hi0))
-        for x, wall in zip(statics, walls_eastward()):
-            ctx.emit("r3", {"labels": r3_labels(x, ("wall_hi",))}, dip(lo0, wall))
-        reg[_host_key(spec, west, j, "west")] = reg.pop(("wall_lo",))
-        reg[_host_key(spec, east, j, "east")] = reg.pop(("wall_hi",))
-        ctx.slide(_MState(flat_y=after_y))
-        return
-
-    if net == -2:
-        if west.kind == "corner":
-            lo0, hi0 = west.x - 1, west.x + 1
-        else:
-            lo0, hi0 = xl, xl + 1
-        reg[("wall_hi",)] = reg.pop(_host_key(spec, west, j, "west"))
-        ctx.slide(dip(lo0, hi0))
-        for x, wall in zip(statics, walls_eastward()):
-            ctx.emit("r3", {"labels": r3_labels(x, ("wall_hi",))}, dip(lo0, wall))
-        k = reg.pop(("wall_hi",))
-        other = reg.pop(_host_key(spec, east, j, "east"))
-        ctx.emit("r2_delete", {"labels": [k, other]}, _MState(flat_y=after_y))
-        return
-
-    if net == 0:
-        # one side born, the other died: the crossing migrates across the row
-        dying, born = (west, east) if west.value < 0 else (east, west)
-        toward_east = dying is west
-        if dying.kind == "corner":
-            anchor = (dying.x - 1, dying.x + 1) if toward_east else (dying.x - 1, dying.x + 1)
-            lo0, hi0 = anchor
-        else:
-            lo0, hi0 = (xl, xl + 1) if toward_east else (xr - 1, xr)
-        wall_key = ("wall_hi",) if toward_east else ("wall_lo",)
-        reg[wall_key] = reg.pop(_host_key(spec, dying, j, "west" if dying is west else "east"))
-        ctx.slide(dip(lo0, hi0))
-        track = walls_eastward() if toward_east else walls_westward()
-        xs = statics if toward_east else list(reversed(statics))
-        for x, wall in zip(xs, track):
-            st = dip(lo0, wall) if toward_east else dip(wall, hi0)
-            ctx.emit("r3", {"labels": r3_labels(x, wall_key)}, st)
-        reg[_host_key(spec, born, j, "west" if born is west else "east")] = reg.pop(wall_key)
-        ctx.slide(_MState(flat_y=after_y))
-        return
-
-    # net is +1 or -1: exactly one attach end
-    attach_west = west.kind == "attach"
-    other = east if attach_west else west
-    if net == 1:
-        # kink created at the attachment, propagates to the far end
-        k = ctx.new_label()
-        if attach_west:
-            wall_key = ("wall_hi",)
-            lo0, hi0 = xl, (4 * statics[0] - 1) if statics else (other.x - 1)
-        else:
-            wall_key = ("wall_lo",)
-            lo0, hi0 = (4 * statics[-1] + 1) if statics else (other.x + 1), xr
-        reg[wall_key] = k
-        ctx.emit("r1_create", {"labels": [k]}, dip(lo0, hi0))
-        track = walls_eastward() if attach_west else walls_westward()
-        xs = statics if attach_west else list(reversed(statics))
-        for x, wall in zip(xs, track):
-            st = dip(lo0, wall) if attach_west else dip(wall, hi0)
-            ctx.emit("r3", {"labels": r3_labels(x, wall_key)}, st)
-        reg[_host_key(spec, other, j, "east" if attach_west else "west")] = reg.pop(wall_key)
-        ctx.slide(_MState(flat_y=after_y))
-        return
-
-    # net == -1: far crossing slides in, propagates to the attachment, kinks away
-    if attach_west:
-        wall_key = ("wall_lo",)
-        if other.kind == "corner":
-            lo0, hi0 = other.x - 1, other.x + 1
-        else:
-            lo0, hi0 = xr - 1, xr
+    # near: the dip's wall on the source side, which stays put while the
+    # sink-side wall carries the crossing across the row
+    if source.value < 0:
+        near = source.x - step if source.kind == "corner" else source.x
+        reg[wall] = reg.pop(_host_key(source, j))
+        ctx.slide(dip(near, source.x + step))
     else:
-        wall_key = ("wall_hi",)
-        if other.kind == "corner":
-            lo0, hi0 = other.x - 1, other.x + 1
+        near = source.x if source.kind == "attach" else source.x + step
+        far = 4 * xs[0] - step if xs else sink.x - step
+        if source.value > 0:
+            reg[("wall_lo",)], reg[("wall_hi",)] = ctx.new_label(), ctx.new_label()
+            labels = [reg[("wall_lo",)], reg[("wall_hi",)]]
+            ctx.emit("r2_create", {"labels": labels}, dip(near, far))
         else:
-            lo0, hi0 = xl, xl + 1
-    reg[wall_key] = reg.pop(_host_key(spec, other, j, "east" if attach_west else "west"))
-    ctx.slide(dip(lo0, hi0))
-    track = walls_westward() if attach_west else walls_eastward()
-    xs = list(reversed(statics)) if attach_west else statics
-    for x, wall in zip(xs, track):
-        st = dip(wall, hi0) if attach_west else dip(lo0, wall)
-        ctx.emit("r3", {"labels": r3_labels(x, wall_key)}, st)
-    k = reg.pop(wall_key)
-    ctx.emit("r1_delete", {"label": k}, _MState(flat_y=after_y))
+            reg[wall] = ctx.new_label()
+            ctx.emit("r1_create", {"labels": [reg[wall]]}, dip(near, far))
+    for x in xs:
+        labels = [ctx.static_label[(4 * x, 4 * j)], reg[("v", x)], reg[wall]]
+        ctx.emit("r3", {"labels": labels}, dip(near, 4 * x + step))
+    flat = _MState(flat_y=after_y)
+    if sink.value > 0:
+        if source.value > 0:
+            reg[_host_key(source, j)] = reg.pop(back_wall)
+        reg[_host_key(sink, j)] = reg.pop(wall)
+        ctx.slide(flat)
+    elif sink.value < 0:
+        k = reg.pop(wall)
+        ctx.emit("r2_delete", {"labels": [k, reg.pop(_host_key(sink, j))]}, flat)
+    else:
+        ctx.emit("r1_delete", {"label": reg.pop(wall)}, flat)
 
 
 def _initial_registry(spec: JumpSpec, static_label: dict[Point, str]) -> dict[tuple, str]:
-    host = spec.host
-    c_left, c_right = spec.strip()
-    e_left, e_right = spec.far_ends()
-    j0 = spec.row
-    rows = host.row_spans()
+    rows = spec.host.row_spans()
     reg: dict[tuple, str] = {}
-    for side, col, far in (("postL", c_left, e_left), ("postR", c_right, e_right)):
-        y1, y2 = sorted((far, j0))
+    for side, col, far in (("postL", spec.c_left, spec.e_left), ("postR", spec.c_right, spec.e_right)):
+        y1, y2 = sorted((far, spec.row))
         for r in range(y1 + 1, y2):
             a, b = rows[r - 1]
             if a < col < b:
@@ -648,10 +554,7 @@ def _jump_trace(
     if start_diagram is None:
         ctx.diagram = extracted
     else:
-        if not (
-            _same_diagram(start_diagram, extracted)
-            or _same_diagram(start_diagram, _reverse_diagram(extracted))
-        ):
+        if not _same_either_way(start_diagram, extracted):
             raise SweepObstructionError("jump handoff does not match the next grid")
         ctx.diagram = start_diagram
     initial = ctx.diagram
@@ -973,7 +876,6 @@ def render_frame_svg(spec: JumpSpec, state: _MState) -> str:
     def sy(y: int) -> float:
         return pad + unit * (n4 + 2 - y) / 4
 
-    c_left, c_right = spec.strip()
     parts = []
     side_w = 2 * pad + unit * host.n
     side_h = 2 * pad + unit * (host.n + 1)
@@ -981,17 +883,12 @@ def render_frame_svg(spec: JumpSpec, state: _MState) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side_w}" height="{side_h}">'
     )
     parts.append(f'<rect width="{side_w}" height="{side_h}" fill="white"/>')
-    for cyc in grid_cycles(host):
-        for e in cyc:
-            if e[0] == "h" and e[1] == spec.row:
-                continue
-            if e[0] == "v" and e[1] in (c_left, c_right):
-                continue
-            p = _grid_edge_polyline(e)
-            parts.append(
-                f'<line x1="{sx(p[0][0])}" y1="{sy(p[0][1])}" x2="{sx(p[1][0])}" '
-                f'y2="{sy(p[1][1])}" stroke="black" stroke-width="1.5"/>'
-            )
+    for e in [*spec.chain, *(e for cyc in spec.others for e in cyc)]:
+        p = _grid_edge_polyline(e)
+        parts.append(
+            f'<line x1="{sx(p[0][0])}" y1="{sy(p[0][1])}" x2="{sx(p[1][0])}" '
+            f'y2="{sy(p[1][1])}" stroke="black" stroke-width="1.5"/>'
+        )
     pts = _m_polyline(spec, state)
     path = " ".join(
         f"{'M' if i == 0 else 'L'} {sx(x)} {sy(y)}" for i, (x, y) in enumerate(pts)

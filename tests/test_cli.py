@@ -131,6 +131,26 @@ def test_witness_with_moves_not_a_list_is_domain_error(capsys, tmp_path):
     _replay_is_rejected(capsys, tmp_path, "--witness", {"start": start, "moves": 5})
 
 
+def test_witness_with_non_integer_size_is_domain_error(capsys, tmp_path):
+    start = {"n": "x", "columns": [[1, 2], [1, 2]]}
+    _replay_is_rejected(capsys, tmp_path, "--witness", {"start": start, "moves": []})
+
+
+NON_INTEGER_GRIDS = (
+    "2\n1-a 1-2\n",
+    json.dumps({"n": "x", "columns": [[1, 2], [1, 2]]}),
+    json.dumps({"n": 2.9, "columns": [[1.2, 2], [1, 2.7]]}),
+)
+
+
+@pytest.mark.parametrize("text", NON_INTEGER_GRIDS)
+def test_non_integer_grid_is_domain_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.grid"
+    path.write_text(text)
+    assert cli.main(["info", "--grid", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_trace_without_grid_is_domain_error(capsys, tmp_path):
     move = {"kind": "exterior_exchange", "axis": "horizontal", "site": []}
     _replay_is_rejected(capsys, tmp_path, "--trace", {"move": move})

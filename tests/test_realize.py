@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from gridknot import planar as pl
 from gridknot import realize as rz
 from gridknot.grid import trivial_diagram, validate
 
-from conftest import knot_reps
+from conftest import census_reps, knot_reps
 
 
 def _exterior_moves(d):
@@ -19,6 +20,31 @@ def _exterior_moves(d):
             mv.MoveKind.ROTATION,
         ):
             yield m
+
+
+# Digests over every (knot, exterior move) pair of the n = 2..5 knot
+# censuses, in census and move-list order: one pins the sigma breakdowns,
+# the other the realized traces.  Both are independent of PYTHONHASHSEED.
+JUMP_PAIRS = 1454
+SIGMA_DIGEST = "d0d3c66e1562e11b"
+TRACE_DIGEST = "082dc9df9790a0fe"
+
+
+def _digest(objs) -> str:
+    text = "\n".join(json.dumps(obj, sort_keys=True) for obj in objs)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_jump_layer_golden_digests():
+    pairs = [
+        (d, m)
+        for n in range(2, 6)
+        for d in census_reps(n, knots_only=True)
+        for m in _exterior_moves(d)
+    ]
+    assert len(pairs) == JUMP_PAIRS
+    assert _digest(jp.verify_move_count_bound(d, m).to_json_obj() for d, m in pairs) == SIGMA_DIGEST
+    assert _digest(rz.trace_to_json(rz.realize(d, m), d, m) for d, m in pairs) == TRACE_DIGEST
 
 
 def assert_trace_contract(d, m):

@@ -64,21 +64,6 @@ def test_verdict_invariant_under_canonical_form():
         assert sp.is_trivial(img, want_witness=False).verdict is sp.Verdict.TRIVIAL
 
 
-def test_bfs_strategy_agrees_and_gives_shortest_witnesses(stuck8, trefoil5):
-    greedy = sp.is_trivial(stuck8)
-    bfs = sp.is_trivial(stuck8, strategy="bfs")
-    assert greedy.verdict is bfs.verdict is sp.Verdict.TRIVIAL
-    assert len(bfs.witness.moves) <= len(greedy.witness.moves)
-    sp.replay_witness(bfs.witness)
-    assert sp.is_trivial(trefoil5, strategy="bfs", want_witness=False).verdict is sp.Verdict.NOT_TRIVIAL
-    for seed in range(8):
-        d = sp.scramble(seed, 8)
-        a = sp.is_trivial(d, strategy="bfs")
-        b = sp.is_trivial(d)
-        assert a.verdict is b.verdict is sp.Verdict.TRIVIAL
-        assert len(a.witness.moves) <= len(b.witness.moves)
-
-
 def test_strict_mode_same_verdicts(stuck8, trefoil5):
     assert (
         sp.is_trivial(stuck8, include_rotations=False, want_witness=False).verdict
