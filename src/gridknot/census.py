@@ -40,8 +40,6 @@ from .grid import (
     canonical_form,
     canonical_key,
     component_count,
-    crossings,
-    grid_cycles,
     length_stats,
 )
 from .simplify import (
@@ -198,11 +196,9 @@ def enumerate_diagrams(
     jobs: int = 1,
     checkpoint: str | None = None,
     limits: SearchLimits | None = None,
-    sink: Callable[[GridDiagram], None] | None = None,
 ) -> CensusResult:
     """Census at size n.  Exactly one canonical representative per orbit is
-    kept (and handed to `sink`, when given, in sorted order); raw counts
-    cover every diagram enumerated.
+    kept, in sorted order; raw counts cover every diagram enumerated.
 
     Knot and triviality filters are decided once per orbit on the canonical
     representative (both are orbit invariants) and raw counts for them are
@@ -284,8 +280,6 @@ def enumerate_diagrams(
             if filt.stuck_only:
                 result.trivial_stuck_count += orbit
         kept.append(d)
-        if sink is not None:
-            sink(d)
     result.representatives = kept
     result.orbit_count = len(kept)
     result.elapsed_s = time.monotonic() - start_time
@@ -293,28 +287,6 @@ def enumerate_diagrams(
 
 
 # --- knot determinant --------------------------------------------------------
-
-
-def _knot_passages(d: GridDiagram) -> list[tuple[tuple[int, int], bool]]:
-    """Crossing passages ((column, row), is_over) in knot traversal order."""
-    cycles = grid_cycles(d)
-    if len(cycles) != 1:
-        raise NotAKnotError("determinant requires a single-component diagram")
-    cross_on_col: dict[int, list[int]] = {}
-    cross_on_row: dict[int, list[int]] = {}
-    for c in crossings(d):
-        cross_on_col.setdefault(c.column, []).append(c.row)
-        cross_on_row.setdefault(c.row, []).append(c.column)
-    passages: list[tuple[tuple[int, int], bool]] = []
-    # every crossing on an edge lies strictly between the edge's endpoints
-    for kind, line, start, end in cycles[0]:
-        if kind == "v":
-            on = sorted(cross_on_col.get(line, []), reverse=end < start)
-            passages.extend(((line, j), True) for j in on)
-        else:
-            on = sorted(cross_on_row.get(line, []), reverse=end < start)
-            passages.extend(((i, line), False) for i in on)
-    return passages
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -347,37 +319,31 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 
 def knot_determinant(d: GridDiagram) -> int:
-    """|Delta(-1)| via the arc coloring matrix; 1 is necessary (not
-    sufficient) for the trivial knot."""
-    passages = _knot_passages(d)
-    k = len(passages) // 2
-    if k == 0:
-        return 1
-    under_positions = [p for p, (_, over) in enumerate(passages) if not over]
-    arc_of_position: dict[int, int] = {}
-    for p in range(len(passages)):
-        # the arc ends at the next under-passage at or after p (cyclically)
-        lo_idx = 0
-        while lo_idx < k and under_positions[lo_idx] < p:
-            lo_idx += 1
-        arc_of_position[p] = lo_idx % k
-    over_arc: dict[tuple[int, int], int] = {}
-    under_in: dict[tuple[int, int], int] = {}
-    under_out: dict[tuple[int, int], int] = {}
-    for p, (cid, over) in enumerate(passages):
-        if over:
-            over_arc[cid] = arc_of_position[p]
-        else:
-            t = arc_of_position[p]
-            under_in[cid] = t
-            under_out[cid] = (t + 1) % k
-    matrix = [[0] * k for _ in range(k)]
-    for r, cid in enumerate(sorted(over_arc)):
-        matrix[r][over_arc[cid]] += 2
-        matrix[r][under_in[cid]] -= 1
-        matrix[r][under_out[cid]] -= 1
-    minor = [row[: k - 1] for row in matrix[: k - 1]]
-    return abs(_bareiss_det(minor))
+    """|Delta(-1)| of the knot d; 1 is necessary (not sufficient) for the
+    trivial knot.
+
+    Manolescu, Ozsvath and Sarkar (A combinatorial description of knot Floer
+    homology, arXiv:math/0607691): over the n x n lattice points p of a grid,
+    det(t^(-a(p))) = +-t^k (1-t)^(n-1) Delta(t), where a(p) is the winding
+    number of the knot around p.  The lattice point (x + 1/2, y + 1/2), for
+    x, y = 0..n-1, has a(p) odd exactly when an odd number of columns
+    c >= x + 1 have lo_c <= y < hi_c.  At t = -1 the matrix is +-1, and
+    |Delta(-1)| = |det| / 2^(n-1).
+    """
+    if component_count(d) != 1:
+        raise NotAKnotError("determinant requires a single-component diagram")
+    matrix = []
+    for y in range(d.n):
+        row, sign = [], 1
+        for lo, hi in reversed(d.columns):
+            if lo <= y < hi:
+                sign = -sign
+            row.append(sign)
+        matrix.append(row[::-1])
+    det, rest = divmod(abs(_bareiss_det(matrix)), 2 ** (d.n - 1))
+    if rest:
+        raise ArithmeticError(f"winding determinant of {d} is not divisible by 2^(n-1)")
+    return det
 
 
 def _proves_trivial(d: GridDiagram, limits: SearchLimits | None) -> bool:

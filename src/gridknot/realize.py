@@ -82,17 +82,15 @@ def _segments(chain: list[tuple[bool, list[Point]]]):
 
 def _extract_cycles(
     cycles: list[list[tuple[bool, list[Point]]]],
-    moving_over: bool = True,
-    moving_labels: dict[Point, str] | None = None,
-    static_labels: dict[Point, str] | None = None,
+    moving_labels: dict[Point, str],
+    static_labels: dict[Point, str],
 ) -> PlanarDiagram:
     """Build the combinatorial diagram from rectilinear cycle geometry.
 
     Crossings between two static segments are vertical-over; crossings
-    involving the moving strand take its over/under role.  Labels come from
-    the provided position maps, defaulting to x{col}-{row} for static pairs.
+    involving the moving strand put it over.  Labels come from the two
+    position maps.
     """
-    moving_labels = moving_labels or {}
     all_segs = []
     for ci, chain in enumerate(cycles):
         for seg in _segments(chain):
@@ -121,18 +119,15 @@ def _extract_cycles(
             if v_moving and h_moving:
                 raise SweepObstructionError(f"moving strand self-crossing at {pos}")
             if v_moving or h_moving:
-                over_is_vertical = v_moving if moving_over else h_moving
+                over_is_vertical = v_moving
                 label = moving_labels.get(pos)
                 if label is None:
                     raise SweepObstructionError(f"unlabeled moving crossing at {pos}")
             else:
                 over_is_vertical = True
-                if static_labels is not None:
-                    label = static_labels.get(pos)
-                    if label is None:
-                        raise SweepObstructionError(f"unlabeled static crossing at {pos}")
-                else:
-                    label = f"x{vx // 4}-{hy // 4}"
+                label = static_labels.get(pos)
+                if label is None:
+                    raise SweepObstructionError(f"unlabeled static crossing at {pos}")
             over_seg, under_seg = (vs, hs) if over_is_vertical else (hs, vs)
             over_dir = direction(over_seg[3], over_seg[4])
             under_dir = direction(under_seg[3], under_seg[4])
@@ -176,7 +171,7 @@ def to_planar(d: GridDiagram) -> PlanarDiagram:
     cycles = [
         [(False, _grid_edge_polyline(e)) for e in cyc] for cyc in grid_cycles(d)
     ]
-    return _extract_cycles(cycles)
+    return _extract_cycles(cycles, {}, _static_labels_for(d))
 
 
 # --- the sweep ---------------------------------------------------------------
@@ -190,6 +185,14 @@ class _MState:
 
     flat_y: int
     dip: tuple[int, int, int] | None = None  # (lo_x, hi_x, dip_y)
+
+
+def _rows_crossing(spec: JumpSpec, x: int, y1: int, y2: int) -> list[int]:
+    """Rows of the host whose span crosses the vertical line x strictly
+    between heights y1 and y2, in either order (scaled coordinates)."""
+    y1, y2 = sorted((y1, y2))
+    spans = enumerate(spec.row_spans, start=1)
+    return [r for r, (a, b) in spans if 4 * a < x < 4 * b and y1 < 4 * r < y2]
 
 
 def _m_polyline(spec: JumpSpec, st: _MState) -> list[Point]:
@@ -234,7 +237,6 @@ class _SweepContext:
         host = spec.host
         c_left, c_right = spec.c_left, spec.c_right
         xl, xr = 4 * c_left, 4 * c_right
-        rows = host.row_spans()
         out: dict[Point, str] = {}
         lo, hi, dy = st.dip if st.dip else (None, None, None)
         for v in range(c_left + 1, c_right):
@@ -244,26 +246,20 @@ class _SweepContext:
                 out[(4 * v, h_at)] = self.registry[("v", v)]
         west_y = dy if (st.dip and lo == xl) else st.flat_y
         east_y = dy if (st.dip and hi == xr) else st.flat_y
-        for side, x_line, col, far, y_end in (
-            ("postL", xl, c_left, spec.e_left, west_y),
-            ("postR", xr, c_right, spec.e_right, east_y),
+        for side, x_line, far, y_end in (
+            ("postL", xl, spec.e_left, west_y),
+            ("postR", xr, spec.e_right, east_y),
         ):
-            y1, y2 = sorted((4 * far, y_end))
-            for r in range(1, host.n + 1):
-                a, b = rows[r - 1]
-                if 4 * a < x_line < 4 * b and y1 < 4 * r < y2:
-                    out[(x_line, 4 * r)] = self.registry[(side, r)]
+            for r in _rows_crossing(spec, x_line, 4 * far, y_end):
+                out[(x_line, 4 * r)] = self.registry[(side, r)]
         if st.dip:
             for wall_x, key in ((lo, ("wall_lo",)), (hi, ("wall_hi",))):
                 if wall_x in (xl, xr):
                     continue
-                y1, y2 = sorted((dy, st.flat_y))
-                for r in range(1, host.n + 1):
-                    a, b = rows[r - 1]
-                    if 4 * a < wall_x < 4 * b and y1 < 4 * r < y2:
-                        key_label = self.registry.get(key)
-                        if key_label is not None:
-                            out[(wall_x, 4 * r)] = key_label
+                key_label = self.registry.get(key)
+                if key_label is not None:
+                    for r in _rows_crossing(spec, wall_x, dy, st.flat_y):
+                        out[(wall_x, 4 * r)] = key_label
         return out
 
     def extract(self, st: _MState) -> PlanarDiagram:
@@ -273,12 +269,7 @@ class _SweepContext:
         chain = [(True, m_pts if spec.enters_left else m_pts[::-1])]
         chain += [(False, _grid_edge_polyline(e)) for e in spec.chain]
         cycles = [chain] + [[(False, _grid_edge_polyline(e)) for e in cyc] for cyc in spec.others]
-        return _extract_cycles(
-            cycles,
-            moving_over=True,
-            moving_labels=self.moving_positions(st),
-            static_labels=self.static_label,
-        )
+        return _extract_cycles(cycles, self.moving_positions(st), self.static_label)
 
     # -- move emission ----------------------------------------------------------
 
@@ -436,7 +427,7 @@ def _classify_end(spec: JumpSpec, j: int, end_col: int, side: str) -> _EndEvent:
 def _sweep_jump(ctx: _SweepContext) -> None:
     spec = ctx.spec
     down = spec.direction < 0
-    rows = spec.host.row_spans()
+    rows = spec.row_spans
     for j in spec.swept_rows():
         before_y = 4 * j + (1 if down else -1)
         after_y = 4 * j - (1 if down else -1)
@@ -521,14 +512,10 @@ def _run_batch(ctx, j, before_y, after_y, west, east, statics) -> None:
 
 
 def _initial_registry(spec: JumpSpec, static_label: dict[Point, str]) -> dict[tuple, str]:
-    rows = spec.host.row_spans()
     reg: dict[tuple, str] = {}
     for side, col, far in (("postL", spec.c_left, spec.e_left), ("postR", spec.c_right, spec.e_right)):
-        y1, y2 = sorted((far, spec.row))
-        for r in range(y1 + 1, y2):
-            a, b = rows[r - 1]
-            if a < col < b:
-                reg[(side, r)] = static_label[(4 * col, 4 * r)]
+        for r in _rows_crossing(spec, 4 * col, 4 * far, 4 * spec.row):
+            reg[(side, r)] = static_label[(4 * col, 4 * r)]
     return reg
 
 

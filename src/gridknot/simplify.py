@@ -40,7 +40,11 @@ class Verdict(Enum):
     LIMIT_EXCEEDED = "limit_exceeded"
 
 
-_STATE_BYTES_ESTIMATE = 120  # rough per-visited-state footprint for the MB cap
+# Per-visited-state footprint for the MB cap: the tracemalloc peak of
+# is_trivial on the 8-grid trefoil 4-5 2-7 4-8 1-7 6-8 2-6 3-5 1-3 capped at
+# 10,000 states, over those states (Python 3.11).  It falls as the visited
+# set outgrows the frontier: 418 B at 20,000 states.
+_STATE_BYTES_ESTIMATE = 436
 
 
 def _default_state_limit() -> int:
@@ -126,47 +130,41 @@ def _search(
         witness = SimplificationWitness(start, (), ()) if want_witness else None
         return Verdict.TRIVIAL, 1, witness
 
-    # parents: canonical key -> (exact diagram reached, parent key, move from parent)
-    parents: dict[bytes, tuple[GridDiagram, bytes | None, mv.CromwellMove | None]] = {
-        start_key: (start, None, None)
-    }
+    # parents: canonical key -> (parent key, move from parent); the exact
+    # diagram of a state rides only on the heap until it is expanded
+    parents: dict[bytes, tuple[bytes | None, mv.CromwellMove | None]] = {start_key: (None, None)}
     visited = 1
-    heap: list[tuple[int, int, bytes]] = [(start.n, 0, start_key)]
+    heap: list[tuple[int, int, bytes, GridDiagram]] = [(start.n, 0, start_key, start)]
     counter = 0
 
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             return Verdict.LIMIT_EXCEEDED, visited, None
-        key = heapq.heappop(heap)[2]
-        d = parents[key][0]
+        _, _, key, d = heapq.heappop(heap)
         for m in _search_arcs(d, include_rotations, include_exterior_exchange):
             child = mv.apply(d, m)
             child_key = canonical_key(child)
             if child_key in parents:
                 continue
-            parents[child_key] = (child, key, m)
+            parents[child_key] = (key, m)
             visited += 1
             if child_key == target:
-                witness = _build_witness(parents, child_key) if want_witness else None
+                witness = _build_witness(parents, start, child_key) if want_witness else None
                 return Verdict.TRIVIAL, visited, witness
             if visited >= limits.max_states:
                 return Verdict.LIMIT_EXCEEDED, visited, None
             counter += 1
-            heapq.heappush(heap, (child.n, counter, child_key))
+            heapq.heappush(heap, (child.n, counter, child_key, child))
     return Verdict.NOT_TRIVIAL, visited, None
 
 
-def _build_witness(parents, end_key: bytes) -> SimplificationWitness:
+def _build_witness(parents, start: GridDiagram, end_key: bytes) -> SimplificationWitness:
     chain: list[mv.CromwellMove] = []
-    key = end_key
-    while True:
-        _, parent_key, move = parents[key]
-        if parent_key is None:
-            break
+    parent_key, move = parents[end_key]
+    while parent_key is not None:
         chain.append(move)
-        key = parent_key
+        parent_key, move = parents[parent_key]
     chain.reverse()
-    start = parents[key][0]
     flags = tuple(m.kind is mv.MoveKind.EXTERIOR_EXCHANGE for m in chain)
     return SimplificationWitness(start, tuple(chain), flags)
 
@@ -187,6 +185,9 @@ def is_trivial(
 
     include_rotations=False replicates the strict merge/exchange-only move
     set; it never changes the verdict, only witness shapes and search size.
+    check_exterior_requirement=True reruns a TRIVIAL search without exterior
+    exchanges and rotations and reports in exterior_required whether it
+    fails (None when it hits its limits); see needs_exterior.
     """
     if component_count(d) != 1:
         raise NotAKnotError(f"diagram has {component_count(d)} components")
@@ -199,42 +200,26 @@ def is_trivial(
         sub, _, _ = _search(
             d, limits, include_rotations=False, include_exterior_exchange=False, want_witness=False
         )
-        if sub is Verdict.LIMIT_EXCEEDED:
-            exterior_required = None
-        else:
-            exterior_required = sub is not Verdict.TRIVIAL
+        if sub is not Verdict.LIMIT_EXCEEDED:
+            exterior_required = sub is Verdict.NOT_TRIVIAL
     return SearchReport(verdict, visited, witness, exterior_required)
 
 
-def needs_exterior(d: GridDiagram, limits: SearchLimits | None = None, strict: bool = True) -> bool:
+def needs_exterior(d: GridDiagram, limits: SearchLimits | None = None) -> bool:
     """True iff every monotone simplification of d uses an exterior exchange.
 
-    Computed by rerunning the reachability search with exterior exchanges
-    disabled.  In strict mode (the default) rotations are disabled too:
-    a rotation followed by an interior exchange imitates an exterior
-    exchange, so leaving rotations enabled would make the answer vacuously
-    false on every input.  Raises NotTrivialInputError on nontrivial knots.
+    The answer is `is_trivial`'s exterior requirement: the search rerun
+    without exterior exchanges and without rotations (a rotation followed
+    by an interior exchange imitates an exterior exchange).  Raises
+    NotTrivialInputError on nontrivial knots and LimitExceededError when
+    either search hits its limits.
     """
-    if component_count(d) != 1:
-        raise NotAKnotError(f"diagram has {component_count(d)} components")
-    limits = limits or SearchLimits()
-    sub_verdict, _, _ = _search(
-        d,
-        limits,
-        include_rotations=not strict,
-        include_exterior_exchange=False,
-        want_witness=False,
-    )
-    if sub_verdict is Verdict.TRIVIAL:
-        return False
-    if sub_verdict is Verdict.LIMIT_EXCEEDED:
-        raise LimitExceededError("restricted search hit its limits")
-    full = is_trivial(d, limits, want_witness=False)
-    if full.verdict is Verdict.LIMIT_EXCEEDED:
-        raise LimitExceededError("full search hit its limits")
-    if full.verdict is not Verdict.TRIVIAL:
+    report = is_trivial(d, limits, want_witness=False, check_exterior_requirement=True)
+    if report.verdict is Verdict.NOT_TRIVIAL:
         raise NotTrivialInputError("diagram is not a trivial knot")
-    return True
+    if report.verdict is Verdict.LIMIT_EXCEEDED or report.exterior_required is None:
+        raise LimitExceededError("search hit its limits")
+    return report.exterior_required
 
 
 def replay_witness(w: SimplificationWitness) -> GridDiagram:

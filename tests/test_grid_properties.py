@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridknot import moves as mv
-from gridknot.census import enumerate_diagrams
+from gridknot.census import enumerate_diagrams, knot_determinant
 from gridknot.grid import (
     SYMMETRIES,
     GridDiagram,
@@ -92,6 +92,30 @@ def test_every_listed_move_and_a_divide_are_undone_by_their_inverses(d, data):
     divide = data.draw(st.sampled_from(mv.all_divides(d)))
     for m in [*mv.available_moves(d), divide]:
         assert mv.apply(mv.apply(d, m), mv.inverse(m, d)) == d
+
+
+@st.composite
+def knots(draw, min_n: int = 2, max_n: int = 12) -> GridDiagram:
+    """Column i spans {sigma(i), sigma(c(i))} for a permutation sigma and an
+    n-cycle c.  The walk leaves column i along row sigma(c(i)) and arrives
+    at column c(i), so it visits every column: the diagram is a knot."""
+    n = draw(st.integers(min_n, max_n))
+    sigma = draw(st.permutations(range(1, n + 1)))
+    order = draw(st.permutations(range(n)))
+    cycle = {order[k]: order[(k + 1) % n] for k in range(n)}
+    return validate(n, [(sigma[i], sigma[cycle[i]]) for i in range(n)])
+
+
+@PROPERTY
+@given(knots(), st.data())
+def test_determinant_is_invariant_under_moves(d, data):
+    assert component_count(d) == 1
+    det = knot_determinant(d)
+    divide = data.draw(st.sampled_from(mv.all_divides(d)))
+    for m in [*mv.available_moves(d), divide]:
+        after = mv.apply(d, m)
+        if component_count(after) == 1:
+            assert knot_determinant(after) == det
 
 
 GOLDEN_DIGEST = "f28e796676eaf8a3edc208169428c3707b55f9420eb90e2678bba3e7a58af014"

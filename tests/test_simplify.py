@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from gridknot import moves as mv
@@ -80,11 +82,33 @@ def test_limit_exceeded_is_a_distinct_outcome(stuck8):
     assert report.verdict is sp.Verdict.LIMIT_EXCEEDED
 
 
+def test_memory_cap_bounds_the_search_peak(monkeypatch):
+    # a 7-grid trefoil whose monotone reachable set has 1,652 states
+    d = validate(7, [(1, 3), (1, 6), (2, 4), (3, 7), (5, 7), (4, 6), (2, 5)])
+    cap_mb = 0.5
+    monkeypatch.setenv("GRIDKNOT_LIMIT_MB", str(cap_mb))
+    limits = sp.SearchLimits()
+    assert 1000 < limits.max_states < 1652
+    tracemalloc.start()
+    try:
+        report = sp.is_trivial(d, limits, want_witness=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is sp.Verdict.LIMIT_EXCEEDED
+    assert peak <= 2 * cap_mb * 1_000_000
+
+
 def test_needs_exterior_examples(stuck8):
     assert sp.needs_exterior(trivial_diagram()) is False
     assert sp.needs_exterior(stuck8) is True
     report = sp.is_trivial(stuck8, check_exterior_requirement=True)
     assert report.exterior_required is True
+
+
+def test_needs_exterior_reports_limits(stuck8):
+    with pytest.raises(sp.LimitExceededError):
+        sp.needs_exterior(stuck8, sp.SearchLimits(max_states=3))
 
 
 def test_needs_exterior_rejects_nontrivial(trefoil5):
