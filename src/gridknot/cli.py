@@ -256,6 +256,7 @@ _DOMAIN_ERRORS = (
     simplify_mod.NotAKnotError,
     simplify_mod.NotTrivialInputError,
     simplify_mod.LimitExceededError,
+    simplify_mod.LimitSettingError,
     realize_mod.SweepObstructionError,
     OSError,
     json.JSONDecodeError,

@@ -279,8 +279,9 @@ def canonical_form(d: GridDiagram) -> CanonicalForm:
 
     The eight square symmetries preserve validity, crossing count, component
     count and move availability (up to swapping the two axes), so they are
-    safe to quotient by; cyclic rotation moves are treated as moves instead.
-    Ties go to the first symmetry in SYMMETRIES order.
+    safe to quotient by.  Cyclic shifts (rotation moves) are not quotiented
+    here; `torus_key` quotients by them as well.  Ties go to the first
+    symmetry in SYMMETRIES order.
     """
     rows = d.row_spans()
     images = {sym: _image(d, rows, sym) for sym in SYMMETRIES}
@@ -294,6 +295,56 @@ def canonical_key(d: GridDiagram) -> bytes:
     rows = d.row_spans()
     best = min(_image(d, rows, sym) for sym in SYMMETRIES)
     return bytes([d.n, *(r for span in best for r in span)])
+
+
+def torus_key(d: GridDiagram) -> bytes:
+    """Key of d's torus orbit: the least image over the eight square
+    symmetries and the n x n cyclic shifts of the columns and rows, in
+    canonical_key's format.
+
+    The least image starts with the span (1, 1 + L), where L is the least
+    torus length min(hi - lo, n - (hi - lo)) over all columns and rows, so
+    only the images that start there are candidates: for each symmetry
+    (swap axes reads the row spans, reverse x walks the columns backwards,
+    reverse y reflects the rows) and each column of torus length L, the
+    shift that puts that column first and one of its ends on row 1.  The
+    candidates are compared span by span and the larger ones dropped, so
+    no image is built whole.
+    """
+    n = d.n
+    rows = d.row_spans()
+    least = min(min(hi - lo, n - hi + lo) for lo, hi in d.columns + rows)
+    # a candidate walks `base` from column `first` by `step` and maps row r
+    # to (sign * (r - origin)) mod n + 1
+    cands: list[tuple[tuple[Span, ...], int, int, int, int]] = []
+    for swap, reverse_x, reverse_y in _SYMMETRY_TABLE.values():
+        base = rows if swap else d.columns
+        step = -1 if reverse_x else 1
+        sign = -1 if reverse_y else 1
+        for first, (lo, hi) in enumerate(base):
+            # the end sent to row 1 leaves the other end at 1 + L
+            if hi - lo == least:
+                cands.append((base, first, step, lo if sign == 1 else hi, sign))
+            if n - hi + lo == least:
+                cands.append((base, first, step, hi if sign == 1 else lo, sign))
+    out = [1, 1 + least]
+    for k in range(1, n):
+        best: Span | None = None
+        keep = []
+        for cand in cands:
+            base, first, step, origin, sign = cand
+            lo, hi = base[(first + step * k) % n]
+            a = (sign * (lo - origin)) % n + 1
+            b = (sign * (hi - origin)) % n + 1
+            span = (a, b) if a < b else (b, a)
+            if best is None or span < best:
+                best = span
+                keep = [cand]
+            elif span == best:
+                keep.append(cand)
+        cands = keep
+        out.extend(best)
+    return bytes([n, *out])
 
 
 def from_canonical_key(key: bytes) -> GridDiagram:

@@ -2,16 +2,24 @@
 
 From any knot diagram, a search over merges, exchanges and rotations (never
 divides, so grid size never increases) either reaches the 2x2 diagram,
-proving the knot trivial with a replayable witness, or exhausts the
-reachable state space.  States are deduplicated by their canonical key
-under the eight square symmetries and expanded smallest grid first, which
-reaches the 2x2 diagram far sooner than move-count order; the witness is a
-valid path, not necessarily a shortest one.
+proving the knot trivial, or exhausts the reachable state space.  States
+are expanded smallest grid first, which reaches the 2x2 diagram far sooner
+than move-count order.
+
+Two searches share that contract.  A search that builds a replayable
+witness, and the restricted search behind `exterior_required` (where a
+rotation is not free), treat rotations as moves and deduplicate states by
+their canonical key under the eight square symmetries; the witness is a
+valid path, not necessarily a shortest one.  A verdict-only search with
+rotations allowed works on the torus instead: a rotation is a cyclic shift,
+which is free there, so it expands one diagram per torus orbit
+(`grid.torus_key`) and takes no rotation arcs.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import random
 import time
@@ -19,7 +27,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import moves as mv
-from .grid import GridDiagram, canonical_key, component_count, trivial_diagram
+from .grid import (
+    GridDiagram,
+    canonical_key,
+    component_count,
+    from_canonical_key,
+    torus_key,
+    trivial_diagram,
+)
 
 
 class NotAKnotError(ValueError):
@@ -34,27 +49,40 @@ class LimitExceededError(RuntimeError):
     """A search limit was hit where an exhaustive answer was required."""
 
 
+class LimitSettingError(ValueError):
+    """GRIDKNOT_LIMIT_MB is not a positive, finite number of megabytes."""
+
+
 class Verdict(Enum):
     TRIVIAL = "trivial"
     NOT_TRIVIAL = "not_trivial"
     LIMIT_EXCEEDED = "limit_exceeded"
 
 
-# Per-visited-state footprint for the MB cap: the tracemalloc peak of
-# is_trivial on the 8-grid trefoil 4-5 2-7 4-8 1-7 6-8 2-6 3-5 1-3 capped at
-# 10,000 states, over those states (Python 3.11).  It falls as the visited
-# set outgrows the frontier: 418 B at 20,000 states.
-_STATE_BYTES_ESTIMATE = 436
+# Per-state footprint for the MB cap: the tracemalloc peak of a fresh
+# process running is_trivial(want_witness=True) on the 8-grid trefoil
+# 4-5 2-7 4-8 1-7 6-8 2-6 3-5 1-3 capped at 10,000 states, over those states
+# (Python 3.11).  That search holds whole diagrams on its frontier, so it
+# is the larger of the two paths: the verdict-only search over torus orbits
+# peaks at 178 B per stored key when it exhausts the same knot (9,313 keys).
+# Below about 1 MB a fresh process's fixed overhead (apparently mostly
+# interpreter free lists) dominates, and the peak can approach twice the cap.
+_STATE_BYTES_ESTIMATE = 472
 
 
 def _default_state_limit() -> int:
     env = os.environ.get("GRIDKNOT_LIMIT_MB")
-    if env:
-        try:
-            return max(1000, int(float(env) * 1_000_000 / _STATE_BYTES_ESTIMATE))
-        except ValueError:
-            pass
-    return 5_000_000
+    if not env:
+        return 5_000_000
+    try:
+        mb = float(env)
+    except ValueError:
+        mb = math.nan
+    if not math.isfinite(mb) or mb <= 0:
+        raise LimitSettingError(
+            f"GRIDKNOT_LIMIT_MB must be a positive number of megabytes, got {env!r}"
+        )
+    return max(1, int(mb * 1_000_000 / _STATE_BYTES_ESTIMATE))
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,6 +186,63 @@ def _search(
     return Verdict.NOT_TRIVIAL, visited, None
 
 
+def _torus_search(start: GridDiagram, limits: SearchLimits) -> tuple[Verdict, int]:
+    """Verdict-only reachability search for the 2x2 diagram over torus orbits.
+
+    A rotation is a cyclic shift, which is free on the torus, so rotations
+    are not arcs here; instead the search expands one diagram per torus
+    orbit (`torus_key`), the orbit's least image.  Every merge or exchange
+    of a rotated diagram is an interior or exterior merge or exchange of
+    the unrotated one with a torus-equivalent result, so the orbits reached
+    are those the search with rotation arcs reaches, and the verdict is the
+    same.  Children are deduplicated by their dihedral canonical key, which
+    is cheaper; the torus key is computed once per popped diagram, and a
+    diagram whose orbit was already expanded is dropped.
+
+    The count returned, and charged against max_states, is the number of
+    keys stored: the dihedral keys reached plus the orbits expanded.
+    """
+    target = canonical_key(trivial_diagram())
+    start_key = canonical_key(start)
+    if start_key == target:
+        return Verdict.TRIVIAL, 1
+    deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
+
+    # the heap holds dihedral keys only; a key stands for its diagram
+    # because the verdict does not depend on which member is expanded
+    seen = {start_key}
+    expanded: set[bytes] = set()
+    stored = 1
+    heap: list[tuple[int, int, bytes]] = [(start.n, 0, start_key)]
+    counter = 0
+    while heap:
+        if deadline is not None and time.monotonic() > deadline:
+            return Verdict.LIMIT_EXCEEDED, stored
+        _, _, key = heapq.heappop(heap)
+        orbit = torus_key(from_canonical_key(key))
+        if orbit in expanded:
+            continue
+        expanded.add(orbit)
+        stored += 1
+        if stored >= limits.max_states:
+            return Verdict.LIMIT_EXCEEDED, stored
+        d = from_canonical_key(orbit)
+        for m in _search_arcs(d, include_rotations=False, include_exterior_exchange=True):
+            child = mv.apply(d, m)
+            child_key = canonical_key(child)
+            if child_key in seen:
+                continue
+            seen.add(child_key)
+            stored += 1
+            if child_key == target:
+                return Verdict.TRIVIAL, stored
+            if stored >= limits.max_states:
+                return Verdict.LIMIT_EXCEEDED, stored
+            counter += 1
+            heapq.heappush(heap, (child.n, counter, child_key))
+    return Verdict.NOT_TRIVIAL, stored
+
+
 def _build_witness(parents, start: GridDiagram, end_key: bytes) -> SimplificationWitness:
     chain: list[mv.CromwellMove] = []
     parent_key, move = parents[end_key]
@@ -188,13 +273,23 @@ def is_trivial(
     check_exterior_requirement=True reruns a TRIVIAL search without exterior
     exchanges and rotations and reports in exterior_required whether it
     fails (None when it hits its limits); see needs_exterior.
+
+    With want_witness=False and rotations allowed, the search runs over
+    torus orbits (see the module docstring), and states_visited counts the
+    keys it stored: the diagrams reached, one per dihedral class, plus the
+    torus orbits expanded.  Otherwise it counts the dihedral classes
+    reached.  Either way it is the count that max_states caps.
     """
     if component_count(d) != 1:
         raise NotAKnotError(f"diagram has {component_count(d)} components")
     limits = limits or SearchLimits()
-    verdict, visited, witness = _search(
-        d, limits, include_rotations, include_exterior_exchange=True, want_witness=want_witness
-    )
+    if include_rotations and not want_witness:
+        verdict, visited = _torus_search(d, limits)
+        witness = None
+    else:
+        verdict, visited, witness = _search(
+            d, limits, include_rotations, include_exterior_exchange=True, want_witness=want_witness
+        )
     exterior_required: bool | None = None
     if check_exterior_requirement and verdict is Verdict.TRIVIAL:
         sub, _, _ = _search(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridknot import cli
+from gridknot import cli, simplify
 from gridknot.grid import from_json_obj, to_json_obj, to_text, trivial_diagram
 
 
@@ -149,6 +149,25 @@ def test_non_integer_grid_is_domain_error(capsys, tmp_path, text):
     path.write_text(text)
     assert cli.main(["info", "--grid", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ("abc", "nan", "inf", "0", "-5"))
+def test_bad_memory_cap_is_domain_error(capsys, monkeypatch, trivial_file, value):
+    monkeypatch.setenv("GRIDKNOT_LIMIT_MB", value)
+    assert cli.main(["simplify", "--grid", trivial_file]) == 1
+    assert capsys.readouterr().err.startswith("error: GRIDKNOT_LIMIT_MB")
+
+
+def test_small_memory_cap_caps_the_search(capsys, monkeypatch, tmp_path):
+    # a 7-grid trefoil whose monotone reachable set has 1,652 states
+    path = tmp_path / "trefoil7.grid"
+    path.write_text("7\n1-3 1-6 2-4 3-7 5-7 4-6 2-5\n")
+    monkeypatch.setenv("GRIDKNOT_LIMIT_MB", "0.1")
+    obj = run(capsys, "simplify", "--grid", str(path))
+    assert obj == {
+        "verdict": "limit_exceeded",
+        "states_visited": int(100_000 / simplify._STATE_BYTES_ESTIMATE),
+    }
 
 
 def test_trace_without_grid_is_domain_error(capsys, tmp_path):

@@ -20,6 +20,7 @@ from gridknot.grid import (
     parse_grid,
     to_json_obj,
     to_text,
+    torus_key,
     validate,
 )
 from gridknot.simplify import scramble
@@ -67,6 +68,46 @@ def test_symmetry_group_laws(d):
 @given(grids())
 def test_canonical_key_decodes_to_canonical_form(d):
     assert from_canonical_key(canonical_key(d)) == canonical_form(d).diagram
+
+
+def _torus_images(d: GridDiagram):
+    """All 8n^2 images: each symmetry, then every column and row shift."""
+    n = d.n
+    for sym in SYMMETRIES:
+        cols = apply_symmetry(d, sym).columns
+        for s in range(n):
+            for t in range(n):
+                yield tuple(
+                    tuple(sorted(((lo - 1 + t) % n + 1, (hi - 1 + t) % n + 1)))
+                    for lo, hi in cols[s:] + cols[:s]
+                )
+
+
+@PROPERTY
+@given(grids())
+def test_torus_key_is_the_least_torus_image(d):
+    best = min(_torus_images(d))
+    assert torus_key(d) == bytes([d.n, *(r for span in best for r in span)])
+
+
+@PROPERTY
+@given(grids())
+def test_torus_key_is_invariant_under_rotations_and_symmetries(d):
+    key = torus_key(d)
+    for m in mv.ROTATIONS:
+        assert torus_key(mv.apply(d, m)) == key
+    for sym in SYMMETRIES:
+        assert torus_key(apply_symmetry(d, sym)) == key
+
+
+@PROPERTY
+@given(grids())
+def test_torus_key_decodes_to_a_valid_diagram(d):
+    key = torus_key(d)
+    e = from_canonical_key(key)
+    assert validate(e.n, e.columns) == e
+    assert torus_key(e) == key
+    assert canonical_key(e) == key
 
 
 @PROPERTY

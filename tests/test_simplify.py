@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import pytest
@@ -5,9 +6,13 @@ import pytest
 from gridknot import moves as mv
 from gridknot import simplify as sp
 from gridknot.census import knot_determinant
-from gridknot.grid import apply_symmetry, canonical_form, trivial_diagram, validate
+from gridknot.grid import apply_symmetry, canonical_form, from_text, trivial_diagram, validate
 
 from conftest import knot_reps
+
+# an 8-grid trefoil that the search with rotation arcs cannot exhaust in
+# 100,000 states; over torus orbits it exhausts 9,313 keys
+TREFOIL8 = from_text("8\n4-5 2-7 4-8 1-7 6-8 2-6 3-5 1-3\n")
 
 
 def test_trivial_diagram_is_trivial():
@@ -82,21 +87,74 @@ def test_limit_exceeded_is_a_distinct_outcome(stuck8):
     assert report.verdict is sp.Verdict.LIMIT_EXCEEDED
 
 
+def _capped_peak(monkeypatch, d, cap_mb, want_witness):
+    monkeypatch.setenv("GRIDKNOT_LIMIT_MB", str(cap_mb))
+    limits = sp.SearchLimits()
+    tracemalloc.start()
+    try:
+        report = sp.is_trivial(d, limits, want_witness=want_witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return limits, report, peak
+
+
 def test_memory_cap_bounds_the_search_peak(monkeypatch):
     # a 7-grid trefoil whose monotone reachable set has 1,652 states
     d = validate(7, [(1, 3), (1, 6), (2, 4), (3, 7), (5, 7), (4, 6), (2, 5)])
     cap_mb = 0.5
-    monkeypatch.setenv("GRIDKNOT_LIMIT_MB", str(cap_mb))
-    limits = sp.SearchLimits()
+    limits, report, peak = _capped_peak(monkeypatch, d, cap_mb, want_witness=True)
     assert 1000 < limits.max_states < 1652
-    tracemalloc.start()
-    try:
-        report = sp.is_trivial(d, limits, want_witness=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert report.verdict is sp.Verdict.LIMIT_EXCEEDED
     assert peak <= 2 * cap_mb * 1_000_000
+
+
+def test_memory_cap_bounds_the_torus_search_peak(monkeypatch):
+    cap_mb = 0.5
+    _, report, peak = _capped_peak(monkeypatch, TREFOIL8, cap_mb, want_witness=False)
+    assert report.verdict is sp.Verdict.LIMIT_EXCEEDED
+    assert peak <= 2 * cap_mb * 1_000_000
+
+
+@pytest.mark.parametrize("value", ("abc", "nan", "inf", "0", "-5"))
+def test_bad_memory_cap_is_rejected(monkeypatch, value):
+    monkeypatch.setenv("GRIDKNOT_LIMIT_MB", value)
+    with pytest.raises(sp.LimitSettingError):
+        sp.SearchLimits()
+
+
+def test_small_memory_cap_gives_its_own_state_count(monkeypatch):
+    monkeypatch.setenv("GRIDKNOT_LIMIT_MB", "0.1")
+    assert sp.SearchLimits().max_states == int(100_000 / sp._STATE_BYTES_ESTIMATE)
+    monkeypatch.setenv("GRIDKNOT_LIMIT_MB", "1e-300")
+    assert sp.SearchLimits().max_states == 1
+
+
+def test_torus_search_exhausts_the_8_grid_trefoil(monkeypatch):
+    monkeypatch.delenv("GRIDKNOT_LIMIT_MB", raising=False)
+    assert knot_determinant(TREFOIL8) == 3
+    report = sp.is_trivial(TREFOIL8, want_witness=False)
+    assert (report.verdict, report.states_visited) == (sp.Verdict.NOT_TRIVIAL, 9313)
+
+
+def _verdicts_agree(reps):
+    for d in reps:
+        witness_path = sp.is_trivial(d).verdict
+        assert sp.is_trivial(d, want_witness=False).verdict is witness_path, d
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_torus_search_agrees_with_witness_search(n):
+    _verdicts_agree(knot_reps(n))
+
+
+@pytest.mark.stretch
+@pytest.mark.skipif(
+    not os.environ.get("GRIDKNOT_STRETCH"),
+    reason="5,382 searches; set GRIDKNOT_STRETCH=1 to run",
+)
+def test_torus_search_agrees_on_det_one_six_grids():
+    _verdicts_agree([d for d in knot_reps(6) if knot_determinant(d) == 1])
 
 
 def test_needs_exterior_examples(stuck8):
