@@ -73,7 +73,6 @@ def cmd_simplify(args) -> dict:
     report = simplify_mod.is_trivial(
         d,
         limits=_limits(args),
-        include_rotations=not args.strict,
         check_exterior_requirement=args.check_exterior,
     )
     out = report.to_json_obj()
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simplify", help="decide unknottedness", parents=[common])
     p.add_argument("--grid")
     p.add_argument("--steps", type=int, default=10, help="scramble steps when no grid given")
-    p.add_argument("--strict", action="store_true", help="exclude rotations from the search")
     p.add_argument("--check-exterior", action="store_true")
     p.add_argument("--witness-out")
     p.set_defaults(fn=cmd_simplify)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterable
 
 from .grid import GridDiagram, Span, apply_symmetry
@@ -101,20 +102,29 @@ def move_from_json_obj(obj: dict) -> CromwellMove:
     return CromwellMove(kind, axis, site)
 
 
+# Moves are immutable, so the constructors that `available_moves` lists with
+# share one instance per move: a search frontier then holds many references
+# to a few moves instead of a new move object per arc.
+
+
+@cache
 def interior_merge(axis: Axis, connector: int) -> CromwellMove:
     return CromwellMove(MoveKind.INTERIOR_MERGE, axis, (connector,))
 
 
+@cache
 def exterior_merge(axis: Axis, connector: int, placement: str) -> CromwellMove:
     if placement not in (LOW, HIGH):
         raise MoveError(f"placement must be {LOW!r} or {HIGH!r}")
     return CromwellMove(MoveKind.EXTERIOR_MERGE, axis, (connector, placement))
 
 
+@cache
 def interior_exchange(axis: Axis, lower_level: int) -> CromwellMove:
     return CromwellMove(MoveKind.INTERIOR_EXCHANGE, axis, (lower_level,))
 
 
+@cache
 def exterior_exchange(axis: Axis) -> CromwellMove:
     return CromwellMove(MoveKind.EXTERIOR_EXCHANGE, axis)
 
@@ -154,22 +164,29 @@ def _exchangeable(span_a: Span, span_b: Span) -> bool:
     return interleaved(span_a, span_b) in (Interleaving.NESTED, Interleaving.DISJOINT)
 
 
-def _merge_endpoints(d: GridDiagram, axis: Axis, connector: int, exterior: bool) -> tuple[int, int]:
+def _merge_endpoints(
+    d: GridDiagram,
+    axis: Axis,
+    connector: int,
+    exterior: bool,
+    rows: tuple[Span, ...] | None = None,
+) -> tuple[int, int]:
     """Partners (a, b) of the two merged edges: a on the connector's low edge.
 
     For a horizontal merge the connector is the column `connector`; the merged
     horizontal edges are its two rows and (a, b) are the other columns using
-    them.  Symmetric for vertical merges.  Raises on structural degeneracy
-    (a == b would leave a zero-length edge, the closed small-square case).
+    them.  Symmetric for vertical merges.  `rows` is d.row_spans(), computed
+    here when not given.  Raises on structural degeneracy (a == b would leave
+    a zero-length edge, the closed small-square case).
     """
+    if rows is None:
+        rows = d.row_spans()
     if axis is Axis.HORIZONTAL:
         lo, hi = d.columns[connector - 1]
-        rows = d.row_spans()
         ra, rb = rows[lo - 1], rows[hi - 1]
         a = ra[0] if ra[1] == connector else ra[1]
         b = rb[0] if rb[1] == connector else rb[1]
     else:
-        rows = d.row_spans()
         lo, hi = rows[connector - 1]
         ca = d.columns[lo - 1]
         cb = d.columns[hi - 1]
@@ -197,7 +214,7 @@ def available_moves(d: GridDiagram, include_divides: bool = False) -> list[Cromw
 
     def merge_ok(axis: Axis, idx: int, exterior: bool) -> bool:
         try:
-            _merge_endpoints(d, axis, idx, exterior)
+            _merge_endpoints(d, axis, idx, exterior, rows)
         except InapplicableMoveError:
             return False
         return True
@@ -259,13 +276,43 @@ def _relabel_rows(d: GridDiagram, table: dict[int, int]) -> GridDiagram:
     return GridDiagram(d.n, tuple(cols))
 
 
+_COLUMN_PERMUTATIONS = (MoveKind.INTERIOR_EXCHANGE, MoveKind.EXTERIOR_EXCHANGE, MoveKind.ROTATION)
+
+
+def _permute_columns(d: GridDiagram, m: CromwellMove) -> GridDiagram:
+    """A vertical exchange or rotation: it only reorders the column spans."""
+    n = d.n
+    cols = d.columns
+    if m.kind is MoveKind.ROTATION:
+        (direction,) = m.site
+        shifted = cols[-1:] + cols[:-1] if direction == TO_LOW else cols[1:] + cols[:1]
+        return GridDiagram(n, shifted)
+    if m.kind is MoveKind.INTERIOR_EXCHANGE:
+        (i,) = m.site
+        if not 1 <= i <= n - 1:
+            raise InapplicableMoveError(f"exchange level {i} out of range")
+        a, b = i - 1, i
+    else:
+        a, b = 0, n - 1
+    if not _exchangeable(cols[a], cols[b]):
+        raise InapplicableMoveError(
+            f"columns {a + 1} and {b + 1} are {interleaved(cols[a], cols[b]).value}"
+        )
+    out = list(cols)
+    out[a], out[b] = cols[b], cols[a]
+    return GridDiagram(n, tuple(out))
+
+
 def apply(d: GridDiagram, m: CromwellMove) -> GridDiagram:
     """Apply one move, returning the new diagram or raising.
 
-    Vertical-axis moves are carried out on the transposed diagram with the
-    horizontal implementation, then transposed back.
+    A vertical exchange or rotation permutes the column spans directly.  The
+    other vertical-axis moves are carried out on the transposed diagram with
+    the horizontal implementation, then transposed back.
     """
     if m.axis is Axis.VERTICAL:
+        if m.kind in _COLUMN_PERMUTATIONS:
+            return _permute_columns(d, m)
         return apply_symmetry(apply(apply_symmetry(d, "transpose"), flip_axis(m)), "transpose")
 
     n = d.n

@@ -1,19 +1,30 @@
 """Unknot recognition by exhaustive monotone search.
 
-From any knot diagram, a search over merges, exchanges and rotations (never
-divides, so grid size never increases) either reaches the 2x2 diagram,
-proving the knot trivial, or exhausts the reachable state space.  States
-are expanded smallest grid first, which reaches the 2x2 diagram far sooner
-than move-count order.
+From any knot diagram, a search over merges and exchanges (never divides,
+so grid size never increases) either reaches the 2x2 diagram, proving the
+knot trivial, or exhausts the reachable state space.  States are expanded
+smallest grid first (first generated first within a size), which reaches
+the 2x2 diagram far sooner than move-count order.  States are deduplicated
+by their canonical key under the eight square symmetries.
 
-Two searches share that contract.  A search that builds a replayable
-witness, and the restricted search behind `exterior_required` (where a
-rotation is not free), treat rotations as moves and deduplicate states by
-their canonical key under the eight square symmetries; the witness is a
-valid path, not necessarily a shortest one.  A verdict-only search with
-rotations allowed works on the torus instead: a rotation is a cyclic shift,
-which is free there, so it expands one diagram per torus orbit
-(`grid.torus_key`) and takes no rotation arcs.
+Rotations are not arcs: a rotation is a cyclic shift, and every merge or
+exchange of a rotated diagram is an interior or exterior merge or exchange
+of the unrotated one with a result equal up to cyclic shifts.  The 2x2
+diagram is alone among its cyclic shifts, so a search with exterior
+exchanges reaches it exactly when a search with rotation arcs does
+(Dynnikov, arXiv:math/0208153, treats cyclic shifts as free as well).  The
+restricted search behind `exterior_required` has no exterior exchanges and
+no rotations, because a rotation and an interior exchange imitate an
+exterior exchange.
+
+There is one search.  Its heap holds arcs, not states: a child is built
+and keyed only when its arc is popped, so the children of a state that is
+never expanded cost nothing.  A search that builds a replayable witness
+records each state's parent and move; the witness is a valid path, not
+necessarily a shortest one.  A verdict-only search with exterior exchanges
+works on the torus: it expands one diagram per torus orbit
+(`grid.torus_key`), the orbit's least image, since the reachable orbits and
+so the verdict do not depend on which member is expanded.
 """
 
 from __future__ import annotations
@@ -59,15 +70,17 @@ class Verdict(Enum):
     LIMIT_EXCEEDED = "limit_exceeded"
 
 
-# Per-state footprint for the MB cap: the tracemalloc peak of a fresh
-# process running is_trivial(want_witness=True) on the 8-grid trefoil
-# 4-5 2-7 4-8 1-7 6-8 2-6 3-5 1-3 capped at 10,000 states, over those states
-# (Python 3.11).  That search holds whole diagrams on its frontier, so it
-# is the larger of the two paths: the verdict-only search over torus orbits
-# peaks at 178 B per stored key when it exhausts the same knot (9,313 keys).
-# Below about 1 MB a fresh process's fixed overhead (apparently mostly
-# interpreter free lists) dominates, and the peak can approach twice the cap.
-_STATE_BYTES_ESTIMATE = 472
+# Per-key footprint for the MB cap: the tracemalloc peak of a fresh process
+# running is_trivial(want_witness=True) on the 8-grid trefoil
+# 4-5 2-7 4-8 1-7 6-8 2-6 3-5 1-3 capped at 10,000 stored keys, over those
+# keys (Python 3.11).  That search keeps a parent key and a move per key, so
+# it is the larger of the two modes: the verdict-only search peaks at 173 B
+# per stored key when it exhausts the same knot (9,313 keys).  A fresh
+# process also leaves up to about 0.4 MB of canonical_key's span tuples on
+# the interpreter's tuple free lists, which tracemalloc counts as allocated;
+# that part is held once per process, not per search, so below about 0.5 MB
+# it dominates the peak of a first search.
+_STATE_BYTES_ESTIMATE = 319
 
 
 def _default_state_limit() -> int:
@@ -123,124 +136,72 @@ class SearchReport:
         return obj
 
 
-def _search_arcs(d: GridDiagram, include_rotations: bool, include_exterior_exchange: bool):
-    for m in mv.available_moves(d):
-        kind = m.kind
-        if kind is mv.MoveKind.ROTATION:
-            if include_rotations:
-                yield m
-        elif kind is mv.MoveKind.EXTERIOR_EXCHANGE:
-            if include_exterior_exchange:
-                yield m
-        else:
-            yield m
+_MERGES = (mv.MoveKind.INTERIOR_MERGE, mv.MoveKind.EXTERIOR_MERGE)
 
 
 def _search(
     start: GridDiagram,
     limits: SearchLimits,
-    include_rotations: bool,
     include_exterior_exchange: bool,
     want_witness: bool,
 ) -> tuple[Verdict, int, SimplificationWitness | None]:
-    """Exhaustive reachability search for the 2x2 diagram.
+    """Best-first reachability search for the 2x2 diagram (module docstring).
 
-    States are expanded smallest grid first (first come first within a
-    size), which reaches the target far sooner on trivial inputs than
-    move-count order; when the target is absent every order visits the same
-    reachable set, so the verdict does not depend on it.
+    A heap entry is an arc (child size, counter, parent key, parent diagram,
+    move).  Counters follow the order in which arcs are generated, and all
+    arcs to a state share its size, so the first arc popped to a state is
+    the first one generated: states are stored in the order, and with the
+    parent and move, that building each child when it is generated would
+    give.  The 2x2 diagram is the only 2-grid, so an arc to it is popped
+    right after it is pushed.  The count returned, and charged against
+    max_states, is the number of keys stored: the states popped, plus the
+    torus orbits expanded.
     """
     target = canonical_key(trivial_diagram())
-    start_key = canonical_key(start)
+    torus = include_exterior_exchange and not want_witness
+    skip = (mv.MoveKind.ROTATION,)
+    if not include_exterior_exchange:
+        skip += (mv.MoveKind.EXTERIOR_EXCHANGE,)
     deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
 
-    if start_key == target:
-        witness = SimplificationWitness(start, (), ()) if want_witness else None
-        return Verdict.TRIVIAL, 1, witness
-
-    # parents: canonical key -> (parent key, move from parent); the exact
-    # diagram of a state rides only on the heap until it is expanded
-    parents: dict[bytes, tuple[bytes | None, mv.CromwellMove | None]] = {start_key: (None, None)}
-    visited = 1
-    heap: list[tuple[int, int, bytes, GridDiagram]] = [(start.n, 0, start_key, start)]
+    # key -> (parent key, move from parent) when a witness is wanted, else None
+    stored: dict[bytes, tuple[bytes | None, mv.CromwellMove | None] | None] = {}
+    orbits: set[bytes] = set()
+    visited = 0
+    # the start is an arc from no parent
+    heap: list[tuple] = [(start.n, 0, None, start, None)]
     counter = 0
-
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             return Verdict.LIMIT_EXCEEDED, visited, None
-        _, _, key, d = heapq.heappop(heap)
-        for m in _search_arcs(d, include_rotations, include_exterior_exchange):
-            child = mv.apply(d, m)
-            child_key = canonical_key(child)
-            if child_key in parents:
+        _, _, parent_key, d, m = heapq.heappop(heap)
+        if m is not None:
+            d = mv.apply(d, m)
+        key = canonical_key(d)
+        if key in stored:
+            continue
+        stored[key] = (parent_key, m) if want_witness else None
+        visited += 1
+        if key == target:
+            witness = _build_witness(stored, start, key) if want_witness else None
+            return Verdict.TRIVIAL, visited, witness
+        if visited >= limits.max_states:
+            return Verdict.LIMIT_EXCEEDED, visited, None
+        if torus:
+            orbit = torus_key(d)
+            if orbit in orbits:
                 continue
-            parents[child_key] = (key, m)
+            orbits.add(orbit)
             visited += 1
-            if child_key == target:
-                witness = _build_witness(parents, start, child_key) if want_witness else None
-                return Verdict.TRIVIAL, visited, witness
             if visited >= limits.max_states:
                 return Verdict.LIMIT_EXCEEDED, visited, None
-            counter += 1
-            heapq.heappush(heap, (child.n, counter, child_key, child))
+            d = from_canonical_key(orbit)
+        for arc in mv.available_moves(d):
+            if arc.kind not in skip:
+                counter += 1
+                size = d.n - 1 if arc.kind in _MERGES else d.n
+                heapq.heappush(heap, (size, counter, key, d, arc))
     return Verdict.NOT_TRIVIAL, visited, None
-
-
-def _torus_search(start: GridDiagram, limits: SearchLimits) -> tuple[Verdict, int]:
-    """Verdict-only reachability search for the 2x2 diagram over torus orbits.
-
-    A rotation is a cyclic shift, which is free on the torus, so rotations
-    are not arcs here; instead the search expands one diagram per torus
-    orbit (`torus_key`), the orbit's least image.  Every merge or exchange
-    of a rotated diagram is an interior or exterior merge or exchange of
-    the unrotated one with a torus-equivalent result, so the orbits reached
-    are those the search with rotation arcs reaches, and the verdict is the
-    same.  Children are deduplicated by their dihedral canonical key, which
-    is cheaper; the torus key is computed once per popped diagram, and a
-    diagram whose orbit was already expanded is dropped.
-
-    The count returned, and charged against max_states, is the number of
-    keys stored: the dihedral keys reached plus the orbits expanded.
-    """
-    target = canonical_key(trivial_diagram())
-    start_key = canonical_key(start)
-    if start_key == target:
-        return Verdict.TRIVIAL, 1
-    deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
-
-    # the heap holds dihedral keys only; a key stands for its diagram
-    # because the verdict does not depend on which member is expanded
-    seen = {start_key}
-    expanded: set[bytes] = set()
-    stored = 1
-    heap: list[tuple[int, int, bytes]] = [(start.n, 0, start_key)]
-    counter = 0
-    while heap:
-        if deadline is not None and time.monotonic() > deadline:
-            return Verdict.LIMIT_EXCEEDED, stored
-        _, _, key = heapq.heappop(heap)
-        orbit = torus_key(from_canonical_key(key))
-        if orbit in expanded:
-            continue
-        expanded.add(orbit)
-        stored += 1
-        if stored >= limits.max_states:
-            return Verdict.LIMIT_EXCEEDED, stored
-        d = from_canonical_key(orbit)
-        for m in _search_arcs(d, include_rotations=False, include_exterior_exchange=True):
-            child = mv.apply(d, m)
-            child_key = canonical_key(child)
-            if child_key in seen:
-                continue
-            seen.add(child_key)
-            stored += 1
-            if child_key == target:
-                return Verdict.TRIVIAL, stored
-            if stored >= limits.max_states:
-                return Verdict.LIMIT_EXCEEDED, stored
-            counter += 1
-            heapq.heappush(heap, (child.n, counter, child_key))
-    return Verdict.NOT_TRIVIAL, stored
 
 
 def _build_witness(parents, start: GridDiagram, end_key: bytes) -> SimplificationWitness:
@@ -257,7 +218,6 @@ def _build_witness(parents, start: GridDiagram, end_key: bytes) -> Simplificatio
 def is_trivial(
     d: GridDiagram,
     limits: SearchLimits | None = None,
-    include_rotations: bool = True,
     want_witness: bool = True,
     check_exterior_requirement: bool = False,
 ) -> SearchReport:
@@ -268,33 +228,24 @@ def is_trivial(
     NOT_TRIVIAL are both exact answers; LIMIT_EXCEEDED is reported as a
     distinct third outcome and never silently collapsed into NOT_TRIVIAL.
 
-    include_rotations=False replicates the strict merge/exchange-only move
-    set; it never changes the verdict, only witness shapes and search size.
-    check_exterior_requirement=True reruns a TRIVIAL search without exterior
-    exchanges and rotations and reports in exterior_required whether it
-    fails (None when it hits its limits); see needs_exterior.
+    The search takes merges and exchanges, never rotation arcs (see the
+    module docstring).  check_exterior_requirement=True reruns a TRIVIAL
+    search without exterior exchanges and reports in exterior_required
+    whether it fails (None when it hits its limits); see needs_exterior.
 
-    With want_witness=False and rotations allowed, the search runs over
-    torus orbits (see the module docstring), and states_visited counts the
-    keys it stored: the diagrams reached, one per dihedral class, plus the
-    torus orbits expanded.  Otherwise it counts the dihedral classes
-    reached.  Either way it is the count that max_states caps.
+    states_visited counts the keys the search stored, which is the count
+    that max_states caps: the states it reached, one per dihedral class,
+    plus, with want_witness=False, the torus orbits it expanded.
     """
     if component_count(d) != 1:
         raise NotAKnotError(f"diagram has {component_count(d)} components")
     limits = limits or SearchLimits()
-    if include_rotations and not want_witness:
-        verdict, visited = _torus_search(d, limits)
-        witness = None
-    else:
-        verdict, visited, witness = _search(
-            d, limits, include_rotations, include_exterior_exchange=True, want_witness=want_witness
-        )
+    verdict, visited, witness = _search(
+        d, limits, include_exterior_exchange=True, want_witness=want_witness
+    )
     exterior_required: bool | None = None
     if check_exterior_requirement and verdict is Verdict.TRIVIAL:
-        sub, _, _ = _search(
-            d, limits, include_rotations=False, include_exterior_exchange=False, want_witness=False
-        )
+        sub, _, _ = _search(d, limits, include_exterior_exchange=False, want_witness=False)
         if sub is not Verdict.LIMIT_EXCEEDED:
             exterior_required = sub is Verdict.NOT_TRIVIAL
     return SearchReport(verdict, visited, witness, exterior_required)

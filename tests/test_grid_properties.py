@@ -135,6 +135,34 @@ def test_every_listed_move_and_a_divide_are_undone_by_their_inverses(d, data):
         assert mv.apply(mv.apply(d, m), mv.inverse(m, d)) == d
 
 
+def _via_transpose(d: GridDiagram, m: mv.CromwellMove) -> GridDiagram:
+    flipped = mv.apply(apply_symmetry(d, "transpose"), mv.flip_axis(m))
+    return apply_symmetry(flipped, "transpose")
+
+
+def _outcome(apply, d: GridDiagram, m: mv.CromwellMove) -> GridDiagram | None:
+    try:
+        return apply(d, m)
+    except mv.InapplicableMoveError:
+        return None
+
+
+@PROPERTY
+@given(grids())
+def test_vertical_exchanges_and_rotations_equal_the_transpose_path(d):
+    """Every vertical exchange site and both vertical rotations: applied
+    directly to the columns, each equals the horizontal move on the
+    transpose, and applies exactly when it is listed."""
+    v = mv.Axis.VERTICAL
+    sites = [mv.interior_exchange(v, i) for i in range(1, d.n)]
+    sites += [mv.exterior_exchange(v), mv.rotation(v, mv.TO_LOW), mv.rotation(v, mv.TO_HIGH)]
+    listed = [m for m in mv.available_moves(d) if m.axis is v and m in sites]
+    for m in sites:
+        direct = _outcome(mv.apply, d, m)
+        assert direct == _outcome(_via_transpose, d, m)
+        assert (direct is not None) == (m in listed)
+
+
 @st.composite
 def knots(draw, min_n: int = 2, max_n: int = 12) -> GridDiagram:
     """Column i spans {sigma(i), sigma(c(i))} for a permutation sigma and an

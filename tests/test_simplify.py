@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import tracemalloc
 
@@ -5,13 +7,14 @@ import pytest
 
 from gridknot import moves as mv
 from gridknot import simplify as sp
-from gridknot.census import knot_determinant
+from gridknot.census import knot_determinant, verify_stuck_census
 from gridknot.grid import apply_symmetry, canonical_form, from_text, trivial_diagram, validate
 
 from conftest import knot_reps
 
-# an 8-grid trefoil that the search with rotation arcs cannot exhaust in
-# 100,000 states; over torus orbits it exhausts 9,313 keys
+# an 8-grid trefoil that a search with rotation arcs cannot exhaust in
+# 100,000 states; the witness search exhausts it at 15,330 states, and over
+# torus orbits the search exhausts 9,313 keys
 TREFOIL8 = from_text("8\n4-5 2-7 4-8 1-7 6-8 2-6 3-5 1-3\n")
 
 
@@ -71,17 +74,6 @@ def test_verdict_invariant_under_canonical_form():
         assert sp.is_trivial(img, want_witness=False).verdict is sp.Verdict.TRIVIAL
 
 
-def test_strict_mode_same_verdicts(stuck8, trefoil5):
-    assert (
-        sp.is_trivial(stuck8, include_rotations=False, want_witness=False).verdict
-        is sp.Verdict.TRIVIAL
-    )
-    assert (
-        sp.is_trivial(trefoil5, include_rotations=False, want_witness=False).verdict
-        is sp.Verdict.NOT_TRIVIAL
-    )
-
-
 def test_limit_exceeded_is_a_distinct_outcome(stuck8):
     report = sp.is_trivial(stuck8, limits=sp.SearchLimits(max_states=3), want_witness=False)
     assert report.verdict is sp.Verdict.LIMIT_EXCEEDED
@@ -100,11 +92,9 @@ def _capped_peak(monkeypatch, d, cap_mb, want_witness):
 
 
 def test_memory_cap_bounds_the_search_peak(monkeypatch):
-    # a 7-grid trefoil whose monotone reachable set has 1,652 states
-    d = validate(7, [(1, 3), (1, 6), (2, 4), (3, 7), (5, 7), (4, 6), (2, 5)])
     cap_mb = 0.5
-    limits, report, peak = _capped_peak(monkeypatch, d, cap_mb, want_witness=True)
-    assert 1000 < limits.max_states < 1652
+    limits, report, peak = _capped_peak(monkeypatch, TREFOIL8, cap_mb, want_witness=True)
+    assert report.states_visited == limits.max_states
     assert report.verdict is sp.Verdict.LIMIT_EXCEEDED
     assert peak <= 2 * cap_mb * 1_000_000
 
@@ -195,3 +185,46 @@ def test_witness_json_round_trip(stuck8):
         start, seq, tuple(m.kind is mv.MoveKind.EXTERIOR_EXCHANGE for m in seq)
     )
     sp.replay_witness(rebuilt)
+
+
+# SHA-256 of the witness JSON, one line per diagram, of test_08's scrambles
+# and of the stuck trivial orbits.  Pinned from the search that took
+# rotation arcs and built every child when it was generated, so witnesses
+# stay byte-identical across changes to the search.
+SCRAMBLES_2000_DIGEST = "40054ce655fb45f812c33d3885000f5dd93fb41a5d84d2802630c54caa4932f1"
+SCRAMBLES_10000_DIGEST = "e7901a25ee6aa84b5bd75f877c6a6e0a9ede346127f7864055d2dbb74ce92e29"
+STUCK_ORBITS_DIGEST = {
+    8: "2e5033fd05e38542ba408922b1b3f3b6d726ee67f052789b03b88366935269ff",
+    9: "8065baa06ccc22420a3cd30e3248cd7040340069ed798d3f5e2bd54ba0e719c4",
+}
+
+
+def _witness_digest(diagrams) -> str:
+    h = hashlib.sha256()
+    for d in diagrams:
+        obj = sp.is_trivial(d).witness.to_json_obj()
+        h.update(json.dumps(obj, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _scrambles(count: int):
+    return (sp.scramble(seed, seed % 21) for seed in range(count))
+
+
+def test_witness_golden_digests():
+    assert _witness_digest(_scrambles(2_000)) == SCRAMBLES_2000_DIGEST
+    orbits = verify_stuck_census(8).trivial_orbits
+    assert len(orbits) == 2
+    assert _witness_digest(orbits) == STUCK_ORBITS_DIGEST[8]
+
+
+@pytest.mark.stretch
+@pytest.mark.skipif(
+    not os.environ.get("GRIDKNOT_STRETCH"),
+    reason="10,000 searches and the n = 9 stuck census; set GRIDKNOT_STRETCH=1 to run",
+)
+def test_witness_golden_digests_stretch():
+    assert _witness_digest(_scrambles(10_000)) == SCRAMBLES_10000_DIGEST
+    orbits = verify_stuck_census(9).trivial_orbits
+    assert len(orbits) == 18
+    assert _witness_digest(orbits) == STUCK_ORBITS_DIGEST[9]
