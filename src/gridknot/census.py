@@ -6,6 +6,11 @@ row keeps the column of its first use and, once used twice, its span.  The
 "stuck" filter (no merges and no interior exchanges available) is applied
 during construction: a column or row of length 1 or n-1, or two adjacent
 columns or rows that are not strictly interleaved, kills the whole subtree.
+When row r closes with span (a, i), each neighbour row r +- 1 is checked at
+once: a closed one must interleave with (a, i); an unused one (its span
+starts after i) or one open since before column a (its span contains
+(a, i)) never can, so the subtree is cut before the neighbour is placed.
+Sentinel rows 0 and n+1 pass the check.
 
 Work is split by first-column span.  Every census filter is invariant under
 flip_y, which maps the subtree of first span (lo, hi) one-to-one onto that
@@ -117,6 +122,7 @@ def _subtree(n: int, stuck: bool, first_span: Span, visit: Callable[[GridDiagram
     how many there were."""
     _, succ, crossed = _tables(n, stuck)
     first = [0] * (n + 2)  # column of each row's first use, 0 while unused
+    first[0] = first[n + 1] = n + 1  # sentinels: never below a row's first use
     closed: list[Span | None] = [None] * (n + 2)  # row span once used twice
     chosen: list[Span] = []
     count = 0
@@ -128,8 +134,15 @@ def _subtree(n: int, stuck: bool, first_span: Span, visit: Callable[[GridDiagram
             if i - a == 1 or i - a == n - 1:
                 return False
             near = crossed[(a, i)]
-            for s in (closed[r - 1], closed[r + 1]):
-                if s is not None and s not in near:
+            for s in (r - 1, r + 1):
+                span = closed[s]
+                if span is None:
+                    # an unused row opens after column i, and a row open
+                    # since before column a closes after i: neither span
+                    # can interleave with (a, i)
+                    if first[s] < a:
+                        return False
+                elif span not in near:
                     return False
         closed[r] = (a, i)
         return True
@@ -248,7 +261,7 @@ def enumerate_diagrams(
         }
         tmp = checkpoint + ".tmp"
         with open(tmp, "w") as fh:
-            json.dump(state, fh)
+            fh.write(json.dumps(state))
         os.replace(tmp, checkpoint)
 
     if jobs > 1 and len(pending) > 1:

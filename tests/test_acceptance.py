@@ -2,7 +2,8 @@
 
 Each test prints a single PASS line with its measured numbers; a failure in
 any of them means the package does not meet its contract.  The size-9
-search and census are non-gating stretch targets behind GRIDKNOT_STRETCH=1.
+search and the size-9 and size-10 censuses are non-gating stretch targets
+behind GRIDKNOT_STRETCH=1.
 """
 
 import os
@@ -262,4 +263,31 @@ def test_11_stretch_nine_grid_stuck_census():
         f"{res.raw_count} raw, {rep.stuck_knot_orbits} knot orbits, "
         f"{len(rep.trivial_orbits)} trivial orbits / {rep.trivial_raw_count} raw; "
         f"{time.monotonic() - t0:.1f}s",
+    )
+
+
+@pytest.mark.stretch
+@pytest.mark.skipif(
+    not os.environ.get("GRIDKNOT_STRETCH"),
+    reason="ten-grid census; set GRIDKNOT_STRETCH=1 to run",
+)
+def test_12_stretch_ten_grid_stuck_census():
+    t0 = time.monotonic()
+    rep = cs.verify_stuck_census(10)
+    assert rep.stuck_knot_orbits == 28_085
+    assert (len(rep.trivial_orbits), rep.trivial_raw_count) == (147, 1_176)
+    assert rep.all_need_exterior
+    assert not rep.all_admit_both_exterior_exchanges
+    census_s = time.monotonic() - t0
+    # raw counts every stuck diagram, links included
+    res = cs.enumerate_diagrams(10, cs.CensusFilter(stuck_only=True))
+    assert res.raw_count == 494_176
+    d = cs.find_only_exterior_horizontal(10)
+    assert d is not None
+    assert cs._exterior_axes(d) == {mv.Axis.HORIZONTAL}
+    _line(
+        "12 stretch: stuck census at n=10",
+        f"{res.raw_count} raw, {rep.stuck_knot_orbits} knot orbits, "
+        f"{len(rep.trivial_orbits)} trivial orbits / {rep.trivial_raw_count} raw; "
+        f"census {census_s:.1f}s, total {time.monotonic() - t0:.1f}s",
     )

@@ -43,11 +43,13 @@ def test_orbit_sizes_reconcile_to_raw(n):
     assert sum(canonical_form(d).orbit_size for d in res.representatives) == res.raw_count
 
 
-# pinned from the enumerator as it was before the first-column mirror cut
+# pinned from the enumerator as it was before the first-column mirror cut;
+# (9, True) before the neighbour-row look-ahead
 GOLDEN = {
     (6, False): (67_950, 8_791, "9916c8f3c4e24700"),
     (7, True): (382, 68, "e9abeb2d9dbf8a8b"),
     (8, True): (3_276, 495, "db751271acf1cf4f"),
+    (9, True): (35_790, 4_808, "2e2121d009faac58"),
 }
 
 
@@ -66,7 +68,8 @@ STRETCH = (
         reason="3.1M raw diagrams; set GRIDKNOT_STRETCH=1 to run",
     ),
 )
-MIRROR_CASES = [(n, stuck) for n in range(2, 8) for stuck in (False, True)] + [(8, True)]
+MIRROR_CASES = [(n, stuck) for n in range(2, 8) for stuck in (False, True)]
+MIRROR_CASES += [(8, True), (9, True)]
 
 
 @pytest.mark.parametrize(
@@ -92,7 +95,7 @@ def test_max_stats_match_formulas(n):
     assert cs.max_stats(n) == (max_crossings_bound(n), max_length_bound(n))
 
 
-@pytest.mark.parametrize("n", (3, 4, 5, 6))
+@pytest.mark.parametrize("n", (3, 4, 5, 6, pytest.param(7, marks=STRETCH)))
 def test_stuck_pruning_equals_post_filtering(n):
     pruned = cs.enumerate_diagrams(n, cs.CensusFilter(stuck_only=True))
 
@@ -231,6 +234,14 @@ def test_census_checkpoint_records_version(tmp_path):
     ckpt = tmp_path / "census.ckpt"
     cs.enumerate_diagrams(5, cs.CensusFilter(stuck_only=True), checkpoint=str(ckpt))
     assert json.loads(ckpt.read_text())["version"] == cs.CHECKPOINT_VERSION == 2
+
+
+def test_census_checkpoint_bytes_pinned(tmp_path):
+    # the whole state, written after the last subtree of the n = 6 stuck census
+    ckpt = tmp_path / "census.ckpt"
+    cs.enumerate_diagrams(6, cs.CensusFilter(stuck_only=True), checkpoint=str(ckpt))
+    digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    assert digest == "55c9905941bdd31266208b6132197c8e72ad9874e5eafb7f5138a3fc477f7a1f"
 
 
 def test_census_jobs_deterministic():
