@@ -168,7 +168,6 @@ def _merge_endpoints(
     d: GridDiagram,
     axis: Axis,
     connector: int,
-    exterior: bool,
     rows: tuple[Span, ...] | None = None,
 ) -> tuple[int, int]:
     """Partners (a, b) of the two merged edges: a on the connector's low edge.
@@ -212,25 +211,25 @@ def available_moves(d: GridDiagram, include_divides: bool = False) -> list[Cromw
     out: list[CromwellMove] = []
     rows = d.row_spans()
 
-    def merge_ok(axis: Axis, idx: int, exterior: bool) -> bool:
+    def merge_ok(axis: Axis, idx: int) -> bool:
         try:
-            _merge_endpoints(d, axis, idx, exterior, rows)
+            _merge_endpoints(d, axis, idx, rows)
         except InapplicableMoveError:
             return False
         return True
 
     for i, (lo, hi) in enumerate(d.columns, start=1):
-        if hi - lo == 1 and merge_ok(Axis.HORIZONTAL, i, False):
+        if hi - lo == 1 and merge_ok(Axis.HORIZONTAL, i):
             out.append(interior_merge(Axis.HORIZONTAL, i))
     for j, (a, b) in enumerate(rows, start=1):
-        if b - a == 1 and merge_ok(Axis.VERTICAL, j, False):
+        if b - a == 1 and merge_ok(Axis.VERTICAL, j):
             out.append(interior_merge(Axis.VERTICAL, j))
     for i, (lo, hi) in enumerate(d.columns, start=1):
-        if (lo, hi) == (1, n) and merge_ok(Axis.HORIZONTAL, i, True):
+        if (lo, hi) == (1, n) and merge_ok(Axis.HORIZONTAL, i):
             out.append(exterior_merge(Axis.HORIZONTAL, i, LOW))
             out.append(exterior_merge(Axis.HORIZONTAL, i, HIGH))
     for j, (a, b) in enumerate(rows, start=1):
-        if (a, b) == (1, n) and merge_ok(Axis.VERTICAL, j, True):
+        if (a, b) == (1, n) and merge_ok(Axis.VERTICAL, j):
             out.append(exterior_merge(Axis.VERTICAL, j, LOW))
             out.append(exterior_merge(Axis.VERTICAL, j, HIGH))
 
@@ -351,7 +350,7 @@ def apply(d: GridDiagram, m: CromwellMove) -> GridDiagram:
         lo, hi = d.columns[i - 1]
         if hi - lo != 1:
             raise InapplicableMoveError(f"column {i} has length {hi - lo}, not 1")
-        a, b = _merge_endpoints(d, Axis.HORIZONTAL, i, exterior=False)
+        a, b = _merge_endpoints(d, Axis.HORIZONTAL, i)
         j = lo  # merged edges at rows j, j+1; merged row keeps label j
         cols = []
         for c, (clo, chi) in enumerate(d.columns, start=1):
@@ -375,7 +374,7 @@ def apply(d: GridDiagram, m: CromwellMove) -> GridDiagram:
             raise InapplicableMoveError("merging the 2x2 diagram would leave a single edge")
         if d.columns[i - 1] != (1, n):
             raise InapplicableMoveError(f"column {i} does not span rows 1..{n}")
-        _merge_endpoints(d, Axis.HORIZONTAL, i, exterior=True)
+        _merge_endpoints(d, Axis.HORIZONTAL, i)
         cols = []
         for c, (clo, chi) in enumerate(d.columns, start=1):
             if c == i:
@@ -444,12 +443,12 @@ def inverse(m: CromwellMove, before: GridDiagram) -> CromwellMove:
     if kind is MoveKind.INTERIOR_MERGE:
         (i,) = m.site
         j = before.columns[i - 1][0]
-        a, b = _merge_endpoints(before, Axis.HORIZONTAL, i, exterior=False)
+        a, b = _merge_endpoints(before, Axis.HORIZONTAL, i)
         map_col = lambda c: c - 1 if c > i else c
         return divide(Axis.HORIZONTAL, j, i, first_low=map_col(a) < map_col(b), exterior=False)
     if kind is MoveKind.EXTERIOR_MERGE:
         i, placement = m.site
-        a, b = _merge_endpoints(before, Axis.HORIZONTAL, i, exterior=True)
+        a, b = _merge_endpoints(before, Axis.HORIZONTAL, i)
         map_col = lambda c: c - 1 if c > i else c
         edge = 1 if placement == LOW else n - 1
         return divide(Axis.HORIZONTAL, edge, i, first_low=map_col(a) < map_col(b), exterior=True)

@@ -100,58 +100,36 @@ class PlanarDiagram:
 
     # -- rotation system and faces -------------------------------------------
 
-    def _edges(self) -> list[tuple[int, int, int, int]]:
-        """Edges as (component, index, component, next index) between
-        consecutive passages; a single global index ordering is returned."""
-        edges = []
-        for ci, comp in enumerate(self.components):
-            m = len(comp)
-            for t in range(m):
-                edges.append((ci, t, ci, (t + 1) % m))
-        return edges
-
-    def _dart_maps(self):
-        """Return (departures, arrivals): dart -> (edge index, direction)."""
-        departures: dict[tuple[str, str], tuple[int, int]] = {}
-        arrivals: dict[tuple[str, str], tuple[int, int]] = {}
-        for ei, (ca, ta, cb, tb) in enumerate(self._edges()):
-            la, oa = self.components[ca][ta]
-            lb, ob = self.components[cb][tb]
-            tail = (la, _O_OUT if oa else _U_OUT)
-            head = (lb, _O_IN if ob else _U_IN)
-            departures[tail] = (ei, +1)
-            arrivals[head] = (ei, +1)
-            departures[head] = (ei, -1)
-            arrivals[tail] = (ei, -1)
-        return departures, arrivals
-
     def faces(self) -> list[tuple[tuple[int, int], ...]]:
-        """Faces as cycles of directed edges (edge index, direction)."""
+        """Faces as cycles of directed edges (edge index, direction).  Edges
+        join consecutive passages, numbered along the components in order."""
         if not self.signs:
             return []
-        departures, _ = self._dart_maps()
-        edges = self._edges()
-        cw_next: dict[tuple[str, str], tuple[str, str]] = {}
-        for label, sign in self.signs.items():
-            cyc = _CCW_POS[sign]
-            for i, slot in enumerate(cyc):
-                cw_next[(label, slot)] = (label, cyc[(i - 1) % 4])
-        arrival_dart: dict[tuple[int, int], tuple[str, str]] = {}
-        for ei, (ca, ta, cb, tb) in enumerate(edges):
-            la, oa = self.components[ca][ta]
-            lb, ob = self.components[cb][tb]
-            arrival_dart[(ei, +1)] = (lb, _O_IN if ob else _U_IN)
-            arrival_dart[(ei, -1)] = (la, _O_OUT if oa else _U_OUT)
+        departures: dict[tuple[str, str], tuple[int, int]] = {}
+        arrival: dict[tuple[int, int], tuple[str, str]] = {}
+        ei = 0
+        for comp in self.components:
+            for t, (la, oa) in enumerate(comp):
+                lb, ob = comp[(t + 1) % len(comp)]
+                tail = (la, _O_OUT if oa else _U_OUT)
+                head = (lb, _O_IN if ob else _U_IN)
+                departures[tail] = (ei, +1)
+                departures[head] = (ei, -1)
+                arrival[(ei, +1)] = head
+                arrival[(ei, -1)] = tail
+                ei += 1
+        # the next slot clockwise at a crossing of either sign
+        cw = {s: dict(zip(ccw, ccw[-1:] + ccw[:-1])) for s, ccw in _CCW_POS.items()}
         faces = []
-        unused = set(arrival_dart)
+        unused = set(arrival)
         while unused:
-            start = next(iter(unused))
+            start = cur = next(iter(unused))
             cycle = []
-            cur = start
             while True:
                 cycle.append(cur)
                 unused.discard(cur)
-                cur = departures[cw_next[arrival_dart[cur]]]
+                label, slot = arrival[cur]
+                cur = departures[(label, cw[self.signs[label]][slot])]
                 if cur == start:
                     break
             faces.append(tuple(cycle))
@@ -169,10 +147,14 @@ class PlanarDiagram:
 
 
 def _canonical_variant(seq: Sequence[tuple[bool, int, str]]) -> tuple:
-    """Relabel crossings in first-appearance order; minimize over basepoints."""
+    """Relabel crossings in first-appearance order; minimize over basepoints.
+    Only a basepoint at a least (over, sign) passage can give the minimum."""
     best = None
     m = len(seq)
+    least = min(seq, default=())[:2]
     for start in range(m):
+        if seq[start][:2] != least:
+            continue
         labels: dict[str, int] = {}
         out = []
         for t in range(m):

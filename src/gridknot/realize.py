@@ -13,6 +13,15 @@ the scaled integer grid; each emitted move is cross-checked by replaying it
 combinatorially and comparing against a fresh geometric extraction of the
 post-state, so the recorded trace is guaranteed replayable.
 
+A jump's static edges never move, so their crossings, signs and sorted
+passages are built once per jump and a state adds only the moving strand's.
+Only an extraction used as it stands is validated: to_planar's, and a jump's
+first when no diagram is carried in.  Every other one is compared, up to
+rotation and reversal, with a validated diagram: the sweep's own for a slide
+or a handoff, the replayed record for a move.  Validity depends only on the
+labels, over/under pairs, signs and face count, which rotation and reversal
+keep, so an extraction equal to a valid diagram is valid.
+
 Vertical-axis moves run on the transposed grid (where the carried strand is
 an understrand) and the finished trace is transposed back.
 """
@@ -71,93 +80,101 @@ class RealizationTrace:
 # --- geometric extraction -----------------------------------------------------
 
 
-def _segments(chain: list[tuple[bool, list[Point]]]):
-    segs = []
-    for si, (is_m, pts) in enumerate(chain):
-        for k in range(len(pts) - 1):
-            if pts[k] != pts[k + 1]:
-                segs.append((si, k, pts[k], pts[k + 1], is_m))
-    return segs
+def _meets(verticals, horizontals):
+    """Pairs of a vertical and a horizontal segment that cross strictly
+    inside both.  Segments are (slot, fixed, lo, hi, step): the coordinate
+    they sit at, their span and their direction of travel (+1 or -1)."""
+    for v in verticals:
+        for h in horizontals:
+            if h[2] < v[1] < h[3] and v[2] < h[1] < v[3]:
+                yield v, h
 
 
-def _extract_cycles(
-    cycles: list[list[tuple[bool, list[Point]]]],
-    moving_labels: dict[Point, str],
-    static_labels: dict[Point, str],
-) -> PlanarDiagram:
-    """Build the combinatorial diagram from rectilinear cycle geometry.
+def _segments(pts: list[Point], slot: int):
+    """A polyline's vertical and horizontal segments, numbered from slot."""
+    verticals, horizontals = [], []
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+        if x1 == x2 and y1 != y2:
+            verticals.append((slot, x1, min(y1, y2), max(y1, y2), 1 if y2 > y1 else -1))
+        elif y1 == y2 and x1 != x2:
+            horizontals.append((slot, y1, min(x1, x2), max(x1, x2), 1 if x2 > x1 else -1))
+        slot += 1
+    return verticals, horizontals
 
-    Crossings between two static segments are vertical-over; crossings
-    involving the moving strand put it over.  Labels come from the two
-    position maps.
+
+def _least_rotation(passages: list) -> tuple:
+    """The least cyclic rotation; it starts at the least passage, since the
+    passages of a valid diagram are distinct."""
+    r = passages.index(min(passages))
+    return tuple(passages[r:] + passages[:r])
+
+
+class _Geometry:
+    """Extraction of the combinatorial diagram from rectilinear geometry.
+
+    The static part is built once per jump (or per grid): the grid edges of
+    each cycle in walk order, their crossings among themselves, which are
+    vertical-over and labeled by position, the signs of those, and each
+    edge's passages sorted along it as (signed coordinate, label, over).  A
+    state adds only the moving polyline, walked just before cycle 0's edges,
+    which passes over every crossing it makes.  Extractions are not
+    validated here; see the module docstring.
     """
-    all_segs = []
-    for ci, chain in enumerate(cycles):
-        for seg in _segments(chain):
-            all_segs.append((ci, *seg))
-    verticals = [s for s in all_segs if s[3][0] == s[4][0]]
-    horizontals = [s for s in all_segs if s[3][1] == s[4][1]]
-    hits: dict[tuple, list[tuple[int, str, bool]]] = {}
-    signs: dict[str, int] = {}
 
-    def direction(p1: Point, p2: Point) -> Point:
-        return (
-            0 if p2[0] == p1[0] else (1 if p2[0] > p1[0] else -1),
-            0 if p2[1] == p1[1] else (1 if p2[1] > p1[1] else -1),
-        )
+    __slots__ = ("cycles", "verticals", "horizontals", "hits", "signs")
 
-    for vs in verticals:
-        vx = vs[3][0]
-        vy1, vy2 = sorted((vs[3][1], vs[4][1]))
-        for hs in horizontals:
-            hy = hs[3][1]
-            hx1, hx2 = sorted((hs[3][0], hs[4][0]))
-            if not (hx1 < vx < hx2 and vy1 < hy < vy2):
-                continue
-            pos = (vx, hy)
-            v_moving, h_moving = vs[5], hs[5]
-            if v_moving and h_moving:
-                raise SweepObstructionError(f"moving strand self-crossing at {pos}")
-            if v_moving or h_moving:
-                over_is_vertical = v_moving
-                label = moving_labels.get(pos)
-                if label is None:
-                    raise SweepObstructionError(f"unlabeled moving crossing at {pos}")
+    def __init__(self, cycles, labels: dict[Point, str]) -> None:
+        self.cycles, self.verticals, self.horizontals = [], [], []
+        slot = 0
+        for cyc in cycles:
+            for e in cyc:
+                vs, hs = _segments(_grid_edge_polyline(e), slot)
+                self.verticals += vs
+                self.horizontals += hs
+                slot += 1
+            self.cycles.append(range(slot - len(cyc), slot))
+        self.hits: list[list] = [[] for _ in range(slot)]
+        self.signs: dict[str, int] = {}
+        for v, h in _meets(self.verticals, self.horizontals):
+            label = labels.get((v[1], h[1]))
+            if label is None:
+                raise SweepObstructionError(f"unlabeled static crossing at {(v[1], h[1])}")
+            self.signs[label] = -v[4] * h[4]
+            self.hits[v[0]].append((v[4] * h[1], label, True))
+            self.hits[h[0]].append((h[4] * v[1], label, False))
+        for seg_hits in self.hits:
+            seg_hits.sort()
+
+    def extract(self, moving: list[Point] | None = None, labels: dict[Point, str] | None = None) -> PlanarDiagram:
+        """The diagram with the moving polyline, if any, labeled by position."""
+        hits, signs = self.hits, self.signs
+        first = len(hits)
+        if moving is not None:
+            hits, signs = hits + [()] * (len(moving) - 1), dict(signs)
+            mv_v, mv_h = _segments(moving, first)
+            for v, h in _meets(mv_v, mv_h):
+                raise SweepObstructionError(f"moving strand self-crossing at {(v[1], h[1])}")
+            extra: dict[int, list] = {}
+            for pairs, over_v in ((_meets(mv_v, self.horizontals), True), (_meets(self.verticals, mv_h), False)):
+                for v, h in pairs:
+                    label = labels.get((v[1], h[1]))
+                    if label is None:
+                        raise SweepObstructionError(f"unlabeled moving crossing at {(v[1], h[1])}")
+                    signs[label] = -v[4] * h[4] if over_v else v[4] * h[4]
+                    extra.setdefault(v[0], []).append((v[4] * h[1], label, over_v))
+                    extra.setdefault(h[0], []).append((h[4] * v[1], label, not over_v))
+            for i, keys in extra.items():
+                hits[i] = sorted([*hits[i], *keys])
+        components = []
+        crossing_free = 0
+        for ci, span in enumerate(self.cycles):
+            slots = [*range(first, len(hits)), *span] if ci == 0 else span
+            passages = [(label, over) for i in slots for _, label, over in hits[i]]
+            if passages:
+                components.append(_least_rotation(passages))
             else:
-                over_is_vertical = True
-                label = static_labels.get(pos)
-                if label is None:
-                    raise SweepObstructionError(f"unlabeled static crossing at {pos}")
-            over_seg, under_seg = (vs, hs) if over_is_vertical else (hs, vs)
-            over_dir = direction(over_seg[3], over_seg[4])
-            under_dir = direction(under_seg[3], under_seg[4])
-            # sign is +1 when the under direction is the over direction
-            # rotated a quarter turn counterclockwise
-            sign = 1 if (-over_dir[1], over_dir[0]) == under_dir else -1
-            signs[label] = sign
-            v_key = (hy if vs[3][1] < vs[4][1] else -hy, label, over_is_vertical)
-            h_key = (vx if hs[3][0] < hs[4][0] else -vx, label, not over_is_vertical)
-            hits.setdefault((vs[0], vs[1], vs[2]), []).append(v_key)
-            hits.setdefault((hs[0], hs[1], hs[2]), []).append(h_key)
-
-    components = []
-    crossing_free = 0
-    for ci, chain in enumerate(cycles):
-        passages: list[tuple[str, bool]] = []
-        for seg in _segments(chain):
-            key = (ci, seg[0], seg[1])
-            for _, label, over in sorted(hits.get(key, [])):
-                passages.append((label, over))
-        if passages:
-            best = min(
-                tuple(passages[r:] + passages[:r]) for r in range(len(passages))
-            )
-            components.append(best)
-        else:
-            crossing_free += 1
-    pd = PlanarDiagram(tuple(components), signs, crossing_free)
-    pd.validate()
-    return pd
+                crossing_free += 1
+        return PlanarDiagram(tuple(components), signs, crossing_free)
 
 
 def _grid_edge_polyline(e: tuple[str, int, int, int]) -> list[Point]:
@@ -168,10 +185,9 @@ def _grid_edge_polyline(e: tuple[str, int, int, int]) -> list[Point]:
 
 def to_planar(d: GridDiagram) -> PlanarDiagram:
     """Faithful planar diagram of a grid: every crossing vertical-over."""
-    cycles = [
-        [(False, _grid_edge_polyline(e)) for e in cyc] for cyc in grid_cycles(d)
-    ]
-    return _extract_cycles(cycles, {}, _static_labels_for(d))
+    pd = _Geometry(grid_cycles(d), _static_labels_for(d)).extract()
+    pd.validate()
+    return pd
 
 
 # --- the sweep ---------------------------------------------------------------
@@ -220,6 +236,7 @@ class _SweepContext:
     static_label: dict[Point, str]
     registry: dict[tuple, str]
     mint: list[int]
+    geometry: _Geometry
     state: _MState = field(init=False)
     diagram: PlanarDiagram = field(init=False)
     records: list[ReidemeisterMove] = field(default_factory=list)
@@ -263,13 +280,10 @@ class _SweepContext:
         return out
 
     def extract(self, st: _MState) -> PlanarDiagram:
-        spec = self.spec
-        m_pts = _m_polyline(spec, st)
+        m_pts = _m_polyline(self.spec, st)
         # orient the moving polyline to match the traversal direction
-        chain = [(True, m_pts if spec.enters_left else m_pts[::-1])]
-        chain += [(False, _grid_edge_polyline(e)) for e in spec.chain]
-        cycles = [chain] + [[(False, _grid_edge_polyline(e)) for e in cyc] for cyc in spec.others]
-        return _extract_cycles(cycles, self.moving_positions(st), self.static_label)
+        moving = m_pts if self.spec.enters_left else m_pts[::-1]
+        return self.geometry.extract(moving, self.moving_positions(st))
 
     # -- move emission ----------------------------------------------------------
 
@@ -323,16 +337,13 @@ def _reverse_diagram(p: PlanarDiagram) -> PlanarDiagram:
 
 
 def _same_diagram(p1: PlanarDiagram, p2: PlanarDiagram) -> bool:
+    """Equal up to rotation; p1 is valid, so a rotation of p2 equals it
+    exactly when their least rotations are equal."""
     if p1.signs != p2.signs or p1.crossing_free_components != p2.crossing_free_components:
         return False
-    if len(p1.components) != len(p2.components):
-        return False
-    for c1, c2 in zip(p1.components, p2.components):
-        if len(c1) != len(c2):
-            return False
-        if not any(tuple(c1[r:] + c1[:r]) == c2 for r in range(max(1, len(c1)))):
-            return False
-    return True
+    return len(p1.components) == len(p2.components) and all(
+        _least_rotation(c1) == _least_rotation(c2) for c1, c2 in zip(p1.components, p2.components)
+    )
 
 
 def _same_either_way(p1: PlanarDiagram, p2: PlanarDiagram) -> bool:
@@ -533,12 +544,17 @@ def _jump_trace(
     exchange; it must be the same labeled diagram as the jump's own initial
     extraction (possibly reversed)."""
     ctx = _SweepContext(
-        spec=spec, static_label=static_label, registry=_initial_registry(spec, static_label), mint=mint
+        spec=spec,
+        static_label=static_label,
+        registry=_initial_registry(spec, static_label),
+        mint=mint,
+        geometry=_Geometry([spec.chain, *spec.others], static_label),
     )
     ctx.frames = frames
     ctx.state = _MState(flat_y=4 * spec.row)
     extracted = ctx.extract(ctx.state)
     if start_diagram is None:
+        extracted.validate()
         ctx.diagram = extracted
     else:
         if not _same_either_way(start_diagram, extracted):
@@ -577,10 +593,7 @@ def _transpose_label(label: str) -> str:
 
 def _transpose_diagram(p: PlanarDiagram) -> PlanarDiagram:
     comps = tuple(
-        tuple((_transpose_label(l), not o) for l, o in comp) for comp in p.components
-    )
-    comps = tuple(
-        min(tuple(c[r:] + c[:r]) for r in range(max(1, len(c)))) for c in comps
+        _least_rotation([(_transpose_label(l), not o) for l, o in comp]) for comp in p.components
     )
     signs = {_transpose_label(l): s for l, s in p.signs.items()}
     return PlanarDiagram(comps, signs, p.crossing_free_components)

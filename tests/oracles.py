@@ -9,6 +9,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from gridknot.grid import GridDiagram
+from gridknot.planar import PlanarDiagram
+from gridknot.realize import SweepObstructionError
 
 
 def naive_census(n: int) -> list[GridDiagram]:
@@ -110,3 +112,65 @@ def fox_colorings(d: GridDiagram, p: int) -> int:
         if all((2 * coloring[o] - coloring[i] - coloring[j]) % p == 0 for o, i, j in relations):
             count += 1
     return count
+
+
+def extract_cycles(cycles, moving_labels: dict, static_labels: dict) -> PlanarDiagram:
+    """All-pairs reference extraction of a planar diagram from rectilinear
+    cycles, each a list of (is_moving, polyline) chains.
+
+    Every vertical segment is tested against every horizontal one.  Static
+    crossings are vertical-over; the moving strand passes over whatever it
+    crosses.  The result is not validated.
+    """
+    segs = []
+    for ci, chain in enumerate(cycles):
+        for si, (is_m, pts) in enumerate(chain):
+            for k in range(len(pts) - 1):
+                if pts[k] != pts[k + 1]:
+                    segs.append(((ci, si, k), pts[k], pts[k + 1], is_m))
+    verticals = [s for s in segs if s[1][0] == s[2][0]]
+    horizontals = [s for s in segs if s[1][1] == s[2][1]]
+    hits: dict = {}
+    signs: dict = {}
+
+    def direction(p1, p2):
+        return ((p2[0] > p1[0]) - (p2[0] < p1[0]), (p2[1] > p1[1]) - (p2[1] < p1[1]))
+
+    for vs in verticals:
+        vx = vs[1][0]
+        vy1, vy2 = sorted((vs[1][1], vs[2][1]))
+        for hs in horizontals:
+            hy = hs[1][1]
+            hx1, hx2 = sorted((hs[1][0], hs[2][0]))
+            if not (hx1 < vx < hx2 and vy1 < hy < vy2):
+                continue
+            pos = (vx, hy)
+            if vs[3] and hs[3]:
+                raise SweepObstructionError(f"moving strand self-crossing at {pos}")
+            over_is_vertical = vs[3] or not hs[3]
+            label = (moving_labels if vs[3] or hs[3] else static_labels).get(pos)
+            if label is None:
+                raise SweepObstructionError(f"unlabeled crossing at {pos}")
+            over, under = (vs, hs) if over_is_vertical else (hs, vs)
+            over_dir, under_dir = direction(over[1], over[2]), direction(under[1], under[2])
+            signs[label] = 1 if (-over_dir[1], over_dir[0]) == under_dir else -1
+            hits.setdefault(vs[0], []).append(
+                (hy if vs[1][1] < vs[2][1] else -hy, label, over_is_vertical)
+            )
+            hits.setdefault(hs[0], []).append(
+                (vx if hs[1][0] < hs[2][0] else -vx, label, not over_is_vertical)
+            )
+    components = []
+    crossing_free = 0
+    for ci in range(len(cycles)):
+        passages = [
+            (label, over)
+            for key, *_ in segs
+            if key[0] == ci
+            for _, label, over in sorted(hits.get(key, []))
+        ]
+        if passages:
+            components.append(min(tuple(passages[r:] + passages[:r]) for r in range(len(passages))))
+        else:
+            crossing_free += 1
+    return PlanarDiagram(tuple(components), signs, crossing_free)

@@ -118,7 +118,7 @@ def test_merge_availability_matches_length_criterion(n):
             for i, (lo, hi) in enumerate(d.columns, start=1):
                 if hi - lo == 1:
                     with pytest.raises(InapplicableMoveError):
-                        mv._merge_endpoints(d, Axis.HORIZONTAL, i, exterior=False)
+                        mv._merge_endpoints(d, Axis.HORIZONTAL, i)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))

@@ -1,14 +1,19 @@
 import hashlib
 import json
+import os
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridknot import jumps as jp
 from gridknot import moves as mv
 from gridknot import planar as pl
 from gridknot import realize as rz
-from gridknot.grid import trivial_diagram, validate
+from gridknot.grid import grid_cycles, trivial_diagram, validate
 
+import oracles
 from conftest import census_reps, knot_reps
 
 
@@ -146,3 +151,108 @@ def test_replay_of_empty_trace_is_initial(trefoil5):
     if trace.isotopy_shortcut:
         assert trace.moves == ()
         assert rz.replay(trace) is trace.initial
+
+
+@st.composite
+def knots(draw, max_n: int = 7):
+    """Column i spans rows sigma(i) and sigma(c(i)) for an n-cycle c, so the
+    walk visits every column: the diagram is a knot."""
+    n = draw(st.integers(2, max_n))
+    sigma = draw(st.permutations(range(1, n + 1)))
+    order = draw(st.permutations(range(n)))
+    succ = {order[k]: order[(k + 1) % n] for k in range(n)}
+    return validate(n, [(sigma[i], sigma[succ[i]]) for i in range(n)])
+
+
+def _oracle_cycles(spec, state):
+    m_pts = rz._m_polyline(spec, state)
+    chain = [(True, m_pts if spec.enters_left else m_pts[::-1])]
+    chain += [(False, rz._grid_edge_polyline(e)) for e in spec.chain]
+    others = [[(False, rz._grid_edge_polyline(e)) for e in cyc] for cyc in spec.others]
+    return [chain, *others]
+
+
+def _outcome(extract, *args):
+    try:
+        return extract(*args)
+    except rz.SweepObstructionError as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(knots())
+def test_extraction_matches_all_pairs_oracle(d):
+    """Every sweep state's extraction equals the all-pairs reference, and the
+    reference diagram is valid; to_planar agrees with it too."""
+    grid_cycles_geometry = [[(False, rz._grid_edge_polyline(e)) for e in cyc] for cyc in grid_cycles(d)]
+    want = oracles.extract_cycles(grid_cycles_geometry, {}, rz._static_labels_for(d))
+    assert rz.to_planar(d) == want
+    library_extract = rz._SweepContext.extract
+    states = []
+
+    def checked(ctx, state):
+        got = _outcome(library_extract, ctx, state)
+        want = _outcome(
+            oracles.extract_cycles, _oracle_cycles(ctx.spec, state), ctx.moving_positions(state), ctx.static_label
+        )
+        assert got == want
+        if want is rz.SweepObstructionError:
+            raise want("the reference extraction fails too")
+        want.validate()
+        states.append(state)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rz._SweepContext, "extract", checked)
+        for m in _exterior_moves(d):
+            try:
+                rz.realize(d, m)
+            except (rz.SweepObstructionError, pl.PlanarError):
+                pass  # known realizer faults from n = 6 on; the states before were checked
+    assert states
+
+
+# Known realizer faults at n = 6, from perfbench/README.md.  Strict, so a fix
+# turns them into failures that ask for these marks to go.
+@pytest.mark.xfail(raises=pl.PlanarError, strict=True, reason="Euler check fails in apply_r2_create")
+def test_reproducer_horizontal_exchange_planar_error():
+    d = validate(6, [(1, 4), (3, 5), (4, 6), (5, 6), (1, 2), (2, 3)])
+    assert_trace_contract(d, mv.exterior_exchange(mv.Axis.HORIZONTAL))
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="3 moves against a budget of 2")
+def test_reproducer_vertical_rotation_over_budget():
+    d = validate(6, [(1, 2), (3, 6), (3, 5), (2, 5), (4, 6), (1, 4)])
+    assert_trace_contract(d, mv.rotation(mv.Axis.VERTICAL, mv.TO_LOW))
+
+
+# Outcomes of all n = 6 (knot, exterior move) pairs: a trace within its
+# budget, a trace over it, or an exception.  The digest runs over each
+# trace's JSON, or the exception's type and message, in census order.  A fix
+# to the realizer changes this pin on purpose.
+N6_PAIRS = 35_258
+N6_OUTCOMES = {"pass": 35_120, "over_budget": 88, "PlanarError": 50}
+N6_DIGEST = "9c99a90757e5b7ef"
+
+
+@pytest.mark.stretch
+@pytest.mark.skipif(
+    not os.environ.get("GRIDKNOT_STRETCH"),
+    reason="35,258 realizations; set GRIDKNOT_STRETCH=1 to run",
+)
+def test_six_grid_realizer_outcomes_stretch():
+    outcomes: Counter = Counter()
+    lines = []
+    for d in knot_reps(6):
+        for m in _exterior_moves(d):
+            try:
+                trace = rz.realize(d, m)
+            except (rz.SweepObstructionError, pl.PlanarError) as exc:
+                outcomes[type(exc).__name__] += 1
+                lines.append(f"{type(exc).__name__}: {exc}")
+                continue
+            outcomes["pass" if len(trace.moves) <= rz.sigma_budget(d, m) else "over_budget"] += 1
+            lines.append(json.dumps(rz.trace_to_json(trace, d, m), sort_keys=True))
+    assert sum(outcomes.values()) == N6_PAIRS
+    assert outcomes == N6_OUTCOMES
+    assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()[:16] == N6_DIGEST
