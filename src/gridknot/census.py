@@ -12,15 +12,16 @@ starts after i) or one open since before column a (its span contains
 (a, i)) never can, so the subtree is cut before the neighbour is placed.
 Sentinel rows 0 and n+1 pass the check.
 
-Work is split by first-column span.  Every census filter is invariant under
-flip_y, which maps the subtree of first span (lo, hi) one-to-one onto that
-of (n+1-hi, n+1-lo).  So only first spans with lo + hi <= n + 1 are
-enumerated, and a subtree with lo + hi < n + 1 is credited twice its raw
-count for its mirror.  No canonical representative starts with
-lo + hi > n + 1, since its flip_y image is smaller at column 1; one
-representative per dihedral orbit is emitted, exactly when a diagram
-equals its own canonical form, so parallel workers need no shared state and
-any job count gives the same result.
+Only canonical representatives, the least of their orbit's eight images,
+are built.  The images start with the extreme edges (columns 1 and n, rows 1
+and n) or their reflections (a, b) -> (n+1-b, n+1-a), so if column 1 is
+(L, H), each extreme edge and its reflection are >= (L, H), and both ends
+lie in the window [L, n+1-L].  Rows 1 and n are used only there, the last
+column must be such an edge, and a leaf is compared with its seven other
+images span by span with an early exit; its orbit size is 8 / (1 + tied
+images).  Work is split by first span, lo + hi <= n + 1; subtrees share no
+state, so any job count gives the same result.  Every census filter is
+invariant under the eight symmetries, so raw counts are orbit-size sums.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import moves as mv
 from .grid import (
+    _SYMMETRY_TABLE,
     SYMMETRIES,
     GridDiagram,
     GridError,
@@ -46,6 +47,7 @@ from .grid import (
     canonical_key,
     component_count,
     length_stats,
+    validate,
 )
 from .simplify import (
     LimitExceededError,
@@ -56,7 +58,7 @@ from .simplify import (
     needs_exterior,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointMismatchError(GridError):
@@ -117,19 +119,51 @@ def _tables(
     return spans, succ, crossed
 
 
-def _subtree(n: int, stuck: bool, first_span: Span, visit: Callable[[GridDiagram], None]) -> int:
-    """Call `visit` on every diagram whose first column is first_span; return
-    how many there were."""
-    _, succ, crossed = _tables(n, stuck)
+def _subtree(n: int, stuck: bool, first_span: Span) -> list[tuple[tuple[Span, ...], int]]:
+    """(columns, orbit size) of every canonical representative whose first
+    column is first_span, in the order of the column tables."""
+    spans, succ, crossed = _tables(n, stuck)
+    m = n + 1
+    low, high = first_span[0], m - first_span[0]  # the extreme-edge window
+    # extreme edges: spans that, like their reflections, are >= first_span
+    edge = {(a, b) for a, b in spans if (a, b) >= first_span <= (m - b, m - a)}
+    inner = {s: [t for t in succ[s] if 1 < t[0] and t[1] < n] for s in spans}
+    last = {s: [t for t in succ[s] if t in edge] for s in spans}
+    # candidate table for each column: rows 1 and n only inside the window
+    table = [last if i == n else succ if low <= i <= high else inner for i in range(n + 2)]
     first = [0] * (n + 2)  # column of each row's first use, 0 while unused
     first[0] = first[n + 1] = n + 1  # sentinels: never below a row's first use
     closed: list[Span | None] = [None] * (n + 2)  # row span once used twice
     chosen: list[Span] = []
-    count = 0
+    out = []
+    # the seven other images, read lazily; an axis swap reads the rows closed[1..n]
+    images = [
+        (closed if swap else chosen, (n - 1 if rx else 0) + swap, -1 if rx else 1, ry)
+        for swap, rx, ry in _SYMMETRY_TABLE.values()
+        if swap or rx or ry
+    ]
+
+    def orbit() -> int:
+        """0 if an image is less than chosen, else 8 / (1 + tied images)."""
+        ties = 1
+        for seq, at, step, reflect in images:
+            for col in chosen:
+                lo, hi = seq[at]
+                span = (m - hi, m - lo) if reflect else (lo, hi)
+                if span != col:
+                    if span < col:
+                        return 0
+                    break
+                at += step
+            else:
+                ties += 1
+        return 8 // ties
 
     def close(r: int, i: int) -> bool:
         """Second use of row r, at column i; record its span if allowed."""
         a = first[r]
+        if (r == 1 or r == n) and (a, i) not in edge:
+            return False
         if stuck:
             if i - a == 1 or i - a == n - 1:
                 return False
@@ -148,10 +182,12 @@ def _subtree(n: int, stuck: bool, first_span: Span, visit: Callable[[GridDiagram
         return True
 
     def place(i: int, candidates: list[Span]) -> None:
-        nonlocal count
         if i > n:
-            count += 1
-            visit(GridDiagram(n, tuple(chosen)))
+            size = orbit()
+            if size:
+                out.append((tuple(chosen), size))
+            return
+        if i == high + 1 and not (closed[1] and closed[n]):  # rows 1 and n end in the window
             return
         for span in candidates:
             lo, hi = span
@@ -167,7 +203,7 @@ def _subtree(n: int, stuck: bool, first_span: Span, visit: Callable[[GridDiagram
                 first[hi] = i
             if open_hi or close(hi, i):
                 chosen.append(span)
-                place(i + 1, succ[span])
+                place(i + 1, table[i + 1][span])
                 chosen.pop()
                 if open_hi:
                     first[hi] = 0
@@ -179,11 +215,11 @@ def _subtree(n: int, stuck: bool, first_span: Span, visit: Callable[[GridDiagram
                 closed[lo] = None
 
     place(1, [first_span])
-    return count
+    return out
 
 
 def _first_spans(n: int, stuck: bool) -> list[Span]:
-    """First-column spans with lo + hi <= n + 1; the others are their mirrors."""
+    """First-column spans with lo + hi <= n + 1, column 1's own window."""
     return [(lo, hi) for lo, hi in _tables(n, stuck)[0] if lo + hi <= n + 1]
 
 
@@ -192,15 +228,42 @@ def _is_minimal_rep(d: GridDiagram) -> bool:
 
 
 def _worker_task(args: tuple) -> dict:
+    """One first-column subtree: the sum of its orbit sizes, and its
+    representatives with their orbit sizes (knots only under knots_only)."""
     n, filt, first_span = args
-    tallies = {"raw": 0, "reps": []}
+    reps = _subtree(n, filt.stuck_only, first_span)
+    raw = sum(orbit for _, orbit in reps)
+    if filt.knots_only:
+        reps = [rep for rep in reps if component_count(GridDiagram(n, rep[0])) == 1]
+    return {"raw": raw, "reps": reps}
 
-    def visit(d: GridDiagram) -> None:
-        if _is_minimal_rep(d):
-            tallies["reps"].append(d.columns)
 
-    tallies["raw"] = _subtree(n, filt.stuck_only, first_span, visit)
-    return tallies
+def _resume(checkpoint: str, n: int, filt: CensusFilter) -> tuple[set[Span], int, list[tuple]]:
+    """A checkpoint's finished subtrees, raw count and representatives with
+    their orbit sizes.  It is refused unless this version wrote it for this
+    size and filter, and every stored representative is a canonical size-n
+    diagram (a knot under knots_only) from a finished subtree, stored once."""
+    with open(checkpoint) as fh:
+        state = json.load(fh)
+    filt_obj = dataclasses.asdict(filt)
+    written = (state.get("version"), state.get("n"), state.get("filter"))
+    if written != (CHECKPOINT_VERSION, n, filt_obj):
+        raise CheckpointMismatchError(
+            f"checkpoint {checkpoint} was written as version {written[0]!r} for "
+            f"n={written[1]!r}, filter {written[2]!r}; this run writes version "
+            f"{CHECKPOINT_VERSION} for n={n}, filter {filt_obj!r}"
+        )
+    done = {tuple(s) for s in state["done"]}
+    reps = {}
+    for d in (validate(n, cols) for cols in state["reps"]):
+        knot = not filt.knots_only or component_count(d) == 1
+        if d.columns in reps or d.columns[0] not in done or not (knot and _is_minimal_rep(d)):
+            raise CheckpointMismatchError(f"{checkpoint} may not hold {d.columns}")
+        reps[d.columns] = canonical_form(d).orbit_size
+    sums = filt.knots_only or state["raw"] == sum(reps.values())
+    if not sums or not done <= set(_first_spans(n, filt.stuck_only)):
+        raise CheckpointMismatchError(f"{checkpoint}: the finished subtrees do not add up")
+    return done, state["raw"], list(reps.items())
 
 
 def enumerate_diagrams(
@@ -215,38 +278,21 @@ def enumerate_diagrams(
 
     Knot and triviality filters are decided once per orbit on the canonical
     representative (both are orbit invariants) and raw counts for them are
-    reconstructed from recorded orbit sizes.
+    the sums of the carried orbit sizes.
     """
     if not isinstance(n, int) or n < 2:
         raise SizeError(f"census size must be an integer >= 2, got {n!r}")
     filt = filt or CensusFilter()
     start_time = time.monotonic()
-    tasks = [(n, filt, span) for span in _first_spans(n, filt.stuck_only)]
-
-    filt_obj = dataclasses.asdict(filt)
-    done_spans: set[tuple[int, int]] = set()
-    raw = 0
-    rep_cols: list[tuple] = []
+    done_spans, raw, rep_cols = set(), 0, []  # rep_cols holds (columns, orbit size)
     if checkpoint and os.path.exists(checkpoint):
-        with open(checkpoint) as fh:
-            state = json.load(fh)
-        written = (state.get("version"), state.get("n"), state.get("filter"))
-        if written != (CHECKPOINT_VERSION, n, filt_obj):
-            raise CheckpointMismatchError(
-                f"checkpoint {checkpoint} was written as version {written[0]!r} for "
-                f"n={written[1]!r}, filter {written[2]!r}; this run writes version "
-                f"{CHECKPOINT_VERSION} for n={n}, filter {filt_obj!r}"
-            )
-        done_spans = {tuple(s) for s in state["done"]}
-        raw = state["raw"]
-        rep_cols = [tuple(tuple(p) for p in cols) for cols in state["reps"]]
-    pending = [t for t in tasks if t[2] not in done_spans]
+        done_spans, raw, rep_cols = _resume(checkpoint, n, filt)
+    pending = [(n, filt, s) for s in _first_spans(n, filt.stuck_only) if s not in done_spans]
 
     def record(task: tuple, tall: dict) -> None:
-        """Credit one finished subtree, and its mirror's raw count."""
+        """Credit one finished subtree."""
         nonlocal raw
-        lo, hi = task[2]
-        raw += tall["raw"] if lo + hi == n + 1 else 2 * tall["raw"]
+        raw += tall["raw"]
         rep_cols.extend(tall["reps"])
         done_spans.add(task[2])
         if not checkpoint:
@@ -254,47 +300,39 @@ def enumerate_diagrams(
         state = {
             "version": CHECKPOINT_VERSION,
             "n": n,
-            "filter": filt_obj,
+            "filter": dataclasses.asdict(filt),
             "done": sorted(done_spans),
             "raw": raw,
-            "reps": [[list(p) for p in cols] for cols in rep_cols],
+            "reps": [[list(p) for p in cols] for cols, _ in rep_cols],
         }
         tmp = checkpoint + ".tmp"
         with open(tmp, "w") as fh:
             fh.write(json.dumps(state))
         os.replace(tmp, checkpoint)
 
-    if jobs > 1 and len(pending) > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = jobs if jobs > 1 and len(pending) > 1 else 1
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             for task, tall in zip(pending, pool.imap(_worker_task, pending)):
                 record(task, tall)
-        workers = jobs
     else:
         for task in pending:
             record(task, _worker_task(task))
-        workers = 1
 
-    reps = [GridDiagram(n, cols) for cols in sorted(rep_cols)]
     result = CensusResult(n=n, raw_count=raw, workers=workers)
-
-    kept: list[GridDiagram] = []
-    for d in reps:
-        orbit = canonical_form(d).orbit_size
-        is_knot = component_count(d) == 1
+    for cols, orbit in sorted(rep_cols):
+        d = GridDiagram(n, cols)
+        is_knot = filt.knots_only or component_count(d) == 1
         if is_knot:
             result.knot_count += orbit
-        if filt.knots_only and not is_knot:
-            continue
-        if filt.stuck_only:
-            result.stuck_count += orbit if is_knot else 0
+            result.stuck_count += orbit if filt.stuck_only else 0
         if filt.trivial_only:
             if not is_knot or not _proves_trivial(d, limits):
                 continue
             if filt.stuck_only:
                 result.trivial_stuck_count += orbit
-        kept.append(d)
-    result.representatives = kept
-    result.orbit_count = len(kept)
+        result.representatives.append(d)
+    result.orbit_count = len(result.representatives)
     result.elapsed_s = time.monotonic() - start_time
     return result
 
@@ -377,19 +415,14 @@ def max_stats(n: int) -> tuple[int, int]:
     """Exact maxima of (crossing count, total length) by exhaustive scan."""
     if not isinstance(n, int) or not 2 <= n <= 6:
         raise SizeError(f"full-enumeration maxima supported for 2 <= n <= 6, got {n!r}")
-    best = [0, 0]
-
-    def visit(d: GridDiagram) -> None:
-        st = length_stats(d)
-        if st.crossing_count > best[0]:
-            best[0] = st.crossing_count
-        if st.total_all > best[1]:
-            best[1] = st.total_all
-
-    # both statistics are flip_y invariant, so the mirror cut loses no maximum
-    for span in _first_spans(n, False):
-        _subtree(n, False, span, visit)
-    return best[0], best[1]
+    # both statistics are invariant under the eight symmetries, so one
+    # diagram per orbit reaches every maximum
+    stats = [
+        length_stats(GridDiagram(n, columns))
+        for span in _first_spans(n, False)
+        for columns, _ in _subtree(n, False, span)
+    ]
+    return max(st.crossing_count for st in stats), max(st.total_all for st in stats)
 
 
 @dataclass(slots=True)
@@ -426,26 +459,15 @@ def verify_stuck_census(
     start = time.monotonic()
     filt = CensusFilter(knots_only=True, stuck_only=True)
     res = enumerate_diagrams(n, filt, jobs=jobs, checkpoint=checkpoint, limits=limits)
-    trivial: list[GridDiagram] = []
-    trivial_raw = 0
-    both_exchanges = True
-    all_need = True
-    for d in res.representatives:
-        if not _proves_trivial(d, limits):
-            continue
-        trivial.append(d)
-        trivial_raw += canonical_form(d).orbit_size
-        if _exterior_axes(d) != {mv.Axis.HORIZONTAL, mv.Axis.VERTICAL}:
-            both_exchanges = False
-        if not needs_exterior(d, limits):
-            all_need = False
+    trivial = [d for d in res.representatives if _proves_trivial(d, limits)]
+    both = {mv.Axis.HORIZONTAL, mv.Axis.VERTICAL}
     return StuckCensusReport(
         n=n,
-        stuck_knot_orbits=sum(1 for d in res.representatives),
+        stuck_knot_orbits=len(res.representatives),
         trivial_orbits=trivial,
-        trivial_raw_count=trivial_raw,
-        all_admit_both_exterior_exchanges=both_exchanges,
-        all_need_exterior=all_need,
+        trivial_raw_count=sum(canonical_form(d).orbit_size for d in trivial),
+        all_admit_both_exterior_exchanges=all(_exterior_axes(d) == both for d in trivial),
+        all_need_exterior=all([needs_exterior(d, limits) for d in trivial]),
         elapsed_s=time.monotonic() - start,
     )
 

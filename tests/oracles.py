@@ -1,12 +1,15 @@
 """Independent brute-force oracles the tests check library results against.
 
 Everything here is written directly from definitions, deliberately ignoring
-the library's own enumeration, statistics and determinant code paths.
+the library's own enumeration, statistics and determinant code paths, or is
+a plain reference version of a library routine that the library has since
+replaced with a pruned or cached one.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Callable
 
 from gridknot.grid import GridDiagram
 from gridknot.planar import PlanarDiagram
@@ -26,6 +29,76 @@ def naive_census(n: int) -> list[GridDiagram]:
         if all(c == 2 for c in counts[1:]):
             out.append(GridDiagram(n, tuple(cols)))
     return out
+
+
+def raw_subtree(n: int, stuck: bool, first_span: tuple[int, int], visit: Callable) -> int:
+    """Reference raw enumerator: call `visit` on every diagram whose first
+    column is first_span, with no symmetry cut, and return how many there
+    were.  Columns are placed left to right; under `stuck`, a span of length
+    1 or n-1 and two adjacent columns or rows that are not strictly
+    interleaved are refused, and a row closing with span (a, i) is refused
+    at once when a neighbour row is unused or open since before column a."""
+    forbid = (1, n - 1) if stuck else ()
+    spans = [(lo, hi) for lo in range(1, n) for hi in range(lo + 1, n + 1) if hi - lo not in forbid]
+    crossed = {
+        (a, b): frozenset((c, d) for c, d in spans if a < c < b < d or c < a < d < b)
+        for a, b in spans
+    }
+    succ = {s: [t for t in spans if t in crossed[s]] if stuck else spans for s in spans}
+    first = [0] * (n + 2)  # column of each row's first use, 0 while unused
+    first[0] = first[n + 1] = n + 1  # sentinels: never below a row's first use
+    closed: list = [None] * (n + 2)  # row span once used twice
+    chosen: list = []
+    count = 0
+
+    def close(r: int, i: int) -> bool:
+        a = first[r]
+        if stuck:
+            if i - a == 1 or i - a == n - 1:
+                return False
+            for s in (r - 1, r + 1):
+                span = closed[s]
+                if span is None:
+                    if first[s] < a:
+                        return False
+                elif span not in crossed[(a, i)]:
+                    return False
+        closed[r] = (a, i)
+        return True
+
+    def place(i: int, candidates: list) -> None:
+        nonlocal count
+        if i > n:
+            count += 1
+            visit(GridDiagram(n, tuple(chosen)))
+            return
+        for span in candidates:
+            lo, hi = span
+            if closed[lo] or closed[hi]:
+                continue
+            open_lo = not first[lo]
+            if open_lo:
+                first[lo] = i
+            elif not close(lo, i):
+                continue
+            open_hi = not first[hi]
+            if open_hi:
+                first[hi] = i
+            if open_hi or close(hi, i):
+                chosen.append(span)
+                place(i + 1, succ[span])
+                chosen.pop()
+                if open_hi:
+                    first[hi] = 0
+                else:
+                    closed[hi] = None
+            if open_lo:
+                first[lo] = 0
+            else:
+                closed[lo] = None
+
+    place(1, [first_span])
+    return count
 
 
 def brute_crossings(d: GridDiagram) -> int:

@@ -7,6 +7,8 @@ import pytest
 from gridknot import census as cs
 from gridknot import moves as mv
 from gridknot.grid import (
+    GridDiagram,
+    GridError,
     canonical_form,
     canonical_key,
     component_count,
@@ -17,7 +19,7 @@ from gridknot.grid import (
 from gridknot.simplify import NotAKnotError, scramble
 
 from conftest import knot_reps
-from oracles import fox_colorings, naive_census
+from oracles import fox_colorings, naive_census, raw_subtree
 
 RAW_COUNTS = {2: 1, 3: 6, 4: 90, 5: 2040}
 
@@ -78,9 +80,24 @@ MIRROR_CASES += [(8, True), (9, True)]
 )
 def test_first_span_subtree_counts_equal_their_mirrors(n, stuck):
     spans = cs._tables(n, stuck)[0]
-    raw = {s: cs._subtree(n, stuck, s, lambda d: None) for s in spans}
+    raw = {s: raw_subtree(n, stuck, s, lambda d: None) for s in spans}
     for lo, hi in spans:
         assert raw[lo, hi] == raw[n + 1 - hi, n + 1 - lo], (lo, hi)
+    # the census's raw count, a sum of orbit sizes, is the reference count
+    census = cs.enumerate_diagrams(n, cs.CensusFilter(stuck_only=stuck))
+    assert census.raw_count == sum(raw.values())
+
+
+ORBIT_CASES = [(n, False) for n in range(2, 7)] + [(n, True) for n in range(5, 10)]
+
+
+@pytest.mark.parametrize("n, stuck", ORBIT_CASES)
+def test_carried_orbit_sizes_match_canonical_form(n, stuck):
+    carried = [rep for span in cs._first_spans(n, stuck) for rep in cs._subtree(n, stuck, span)]
+    assert carried
+    for cols, orbit in carried:
+        cf = canonical_form(GridDiagram(n, cols))
+        assert (cf.diagram.columns, cf.orbit_size) == (cols, orbit)
 
 
 def test_knot_count_at_three():
@@ -88,7 +105,7 @@ def test_knot_count_at_three():
     assert res.knot_count == 6
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_max_stats_match_formulas(n):
     from gridknot.grid import max_crossings_bound, max_length_bound
 
@@ -225,15 +242,78 @@ def test_census_checkpoint_rejects_old_format(tmp_path):
     with pytest.raises(cs.CheckpointMismatchError, match="version"):
         cs.enumerate_diagrams(6, filt, checkpoint=str(ckpt))
     assert ckpt.read_bytes() == before
-    ckpt.write_text(json.dumps({**old, "version": 1}))
-    with pytest.raises(cs.CheckpointMismatchError):
-        cs.enumerate_diagrams(6, filt, checkpoint=str(ckpt))
+    # version 2 credited a subtree twice its own raw count for its mirror
+    for version in (1, 2):
+        ckpt.write_text(json.dumps({**old, "version": version}))
+        with pytest.raises(cs.CheckpointMismatchError, match="version"):
+            cs.enumerate_diagrams(6, filt, checkpoint=str(ckpt))
+
+
+def _tampered_states():
+    # a partial n = 5 checkpoint: the subtree of first span (1, 2) alone
+    reps = [[list(s) for s in d.columns] for d in cs.enumerate_diagrams(5).representatives]
+    own = [cols for cols in reps if cols[0] == [1, 2]]
+    other = next(cols for cols in reps if cols[0] != [1, 2])
+    raw = []
+    raw_subtree(5, False, (1, 2), raw.append)
+    image = next(d for d in raw if canonical_form(d).diagram != d)
+    return own, {
+        "not canonical": own[:-1] + [[list(s) for s in image.columns]],
+        "stored twice": own + own[:1],
+        "subtree not done": own + [other],
+        "not a diagram": own[:-1] + [[[1, 2]] * 5],
+        "raw does not add up": own[1:],
+    }
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        ("not canonical", "may not hold"),
+        ("stored twice", "may not hold"),
+        ("subtree not done", "may not hold"),
+        ("not a diagram", "used 5 times"),
+        ("raw does not add up", "add up"),
+    ],
+)
+def test_census_checkpoint_rejects_tampered_state(tmp_path, case, match):
+    own, tampered = _tampered_states()
+    ckpt = tmp_path / "census.ckpt"
+    good = {
+        "version": cs.CHECKPOINT_VERSION,
+        "n": 5,
+        "filter": {"knots_only": False, "stuck_only": False, "trivial_only": False},
+        "done": [[1, 2]],
+        "raw": sum(canonical_form(GridDiagram(5, tuple(map(tuple, c)))).orbit_size for c in own),
+    }
+    ckpt.write_text(json.dumps({**good, "reps": own}))
+    assert cs.enumerate_diagrams(5, checkpoint=str(ckpt)).raw_count == RAW_COUNTS[5]
+    ckpt.write_text(json.dumps({**good, "reps": tampered[case]}))
+    before = ckpt.read_bytes()
+    with pytest.raises(GridError, match=match):
+        cs.enumerate_diagrams(5, checkpoint=str(ckpt))
+    assert ckpt.read_bytes() == before
+
+
+def test_knot_filter_checkpoint_holds_knots_only(tmp_path):
+    ckpt = tmp_path / "census.ckpt"
+    filt = cs.CensusFilter(knots_only=True)
+    res = cs.enumerate_diagrams(5, filt, checkpoint=str(ckpt))
+    state = json.loads(ckpt.read_text())
+    stored = [validate(5, cols) for cols in state["reps"]]
+    assert len(stored) == res.orbit_count and all(component_count(d) == 1 for d in stored)
+    assert state["raw"] == res.raw_count == RAW_COUNTS[5]
+    # a link smuggled into the same checkpoint is refused
+    link = next(d for d in cs.enumerate_diagrams(5).representatives if component_count(d) > 1)
+    ckpt.write_text(json.dumps({**state, "reps": state["reps"] + [list(map(list, link.columns))]}))
+    with pytest.raises(cs.CheckpointMismatchError, match="may not hold"):
+        cs.enumerate_diagrams(5, filt, checkpoint=str(ckpt))
 
 
 def test_census_checkpoint_records_version(tmp_path):
     ckpt = tmp_path / "census.ckpt"
     cs.enumerate_diagrams(5, cs.CensusFilter(stuck_only=True), checkpoint=str(ckpt))
-    assert json.loads(ckpt.read_text())["version"] == cs.CHECKPOINT_VERSION == 2
+    assert json.loads(ckpt.read_text())["version"] == cs.CHECKPOINT_VERSION == 3
 
 
 def test_census_checkpoint_bytes_pinned(tmp_path):
@@ -241,7 +321,7 @@ def test_census_checkpoint_bytes_pinned(tmp_path):
     ckpt = tmp_path / "census.ckpt"
     cs.enumerate_diagrams(6, cs.CensusFilter(stuck_only=True), checkpoint=str(ckpt))
     digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
-    assert digest == "55c9905941bdd31266208b6132197c8e72ad9874e5eafb7f5138a3fc477f7a1f"
+    assert digest == "5a584f60377cd9d978cae9689f284875516d2482bcc4328eb6d24f0cb8c5d959"
 
 
 def test_census_jobs_deterministic():
@@ -266,7 +346,7 @@ def test_only_exterior_horizontal_orbits_match_raw_scan():
             raw_scan.add(canonical_key(d))
 
     for span in cs._tables(8, True)[0]:
-        cs._subtree(8, True, span, visit)
+        raw_subtree(8, True, span, visit)
     reps = cs.enumerate_diagrams(8, cs.CensusFilter(knots_only=True, stuck_only=True))
     found = set()
     for d in reps.representatives:
