@@ -90,7 +90,6 @@ class CensusResult:
     trivial_stuck_count: int = 0
     representatives: list[GridDiagram] = field(default_factory=list)
     elapsed_s: float = 0.0
-    workers: int = 1
 
     def summary(self) -> dict:
         return {
@@ -319,7 +318,7 @@ def enumerate_diagrams(
         for task in pending:
             record(task, _worker_task(task))
 
-    result = CensusResult(n=n, raw_count=raw, workers=workers)
+    result = CensusResult(n=n, raw_count=raw)
     for cols, orbit in sorted(rep_cols):
         d = GridDiagram(n, cols)
         is_knot = filt.knots_only or component_count(d) == 1

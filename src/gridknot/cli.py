@@ -147,12 +147,7 @@ def cmd_replay(args) -> dict:
             raise moves_mod.MoveError(f"{args.witness}: 'moves' is not a list")
         start = grid_mod.from_json_obj(obj["start"])
         seq = tuple(moves_mod.move_from_json_obj(o) for o in obj["moves"])
-        witness = simplify_mod.SimplificationWitness(
-            start,
-            seq,
-            tuple(m.kind is moves_mod.MoveKind.EXTERIOR_EXCHANGE for m in seq),
-        )
-        simplify_mod.replay_witness(witness)
+        simplify_mod.replay_witness(simplify_mod.SimplificationWitness(start, seq))
         return {"ok": True, "kind": "witness", "moves": len(seq)}
     obj = _read_record(args.trace, "grid", "move")
     d = grid_mod.from_json_obj(obj["grid"])

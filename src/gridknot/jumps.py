@@ -232,10 +232,7 @@ def jump_decomposition(d: GridDiagram, m: mv.CromwellMove) -> list[JumpSpec]:
 
     if kind is mv.MoveKind.EXTERIOR_EXCHANGE:
         rows = d.row_spans()
-        if mv.interleaved(rows[0], rows[n - 1]) not in (
-            mv.Interleaving.NESTED,
-            mv.Interleaving.DISJOINT,
-        ):
+        if not mv._exchangeable(rows[0], rows[n - 1]):
             raise mv.InapplicableMoveError("extreme rows are not exchangeable")
         top_len = rows[n - 1][1] - rows[n - 1][0]
         bottom_len = rows[0][1] - rows[0][0]

@@ -14,6 +14,15 @@ Move conventions:
   (horizontal axis) or the rightmost column to the left (vertical axis).
 * Divide moves are the inverses of merges.  They are parameterized and are
   listed by :func:`available_moves` only on request.
+
+One kernel serves both axes.  A move acts on its axis's pair (edges, links):
+for a horizontal move the edges are the row spans and the links are the
+column spans; for a vertical move it is the other way round.  Each exchange,
+rotation, merge and divide is one table that relabels the levels of the
+links.  A merge also drops its connector, and a divide inserts one and splits
+the edge's two endpoints.  The new links of a vertical move are row spans, so
+one transpose turns them back into columns.  A vertical exchange or rotation
+only reorders the stored columns, so it permutes them directly instead.
 """
 
 from __future__ import annotations
@@ -164,6 +173,11 @@ def _exchangeable(span_a: Span, span_b: Span) -> bool:
     return interleaved(span_a, span_b) in (Interleaving.NESTED, Interleaving.DISJOINT)
 
 
+def _axis_pair(d: GridDiagram, axis: Axis, rows: tuple[Span, ...] | None) -> tuple:
+    """(edges, links) of a move on `axis`; `rows` is d.row_spans()."""
+    return (rows, d.columns) if axis is Axis.HORIZONTAL else (d.columns, rows)
+
+
 def _merge_endpoints(
     d: GridDiagram,
     axis: Axis,
@@ -172,25 +186,19 @@ def _merge_endpoints(
 ) -> tuple[int, int]:
     """Partners (a, b) of the two merged edges: a on the connector's low edge.
 
-    For a horizontal merge the connector is the column `connector`; the merged
-    horizontal edges are its two rows and (a, b) are the other columns using
-    them.  Symmetric for vertical merges.  `rows` is d.row_spans(), computed
-    here when not given.  Raises on structural degeneracy (a == b would leave
-    a zero-length edge, the closed small-square case).
+    The connector is the link `connector` of the axis pair; the merged edges
+    are the edges at its two levels, and (a, b) are the other links they
+    use.  `rows` is d.row_spans(), computed here when not given.  Raises on
+    structural degeneracy (a == b would leave a zero-length edge, the closed
+    small-square case).
     """
     if rows is None:
         rows = d.row_spans()
-    if axis is Axis.HORIZONTAL:
-        lo, hi = d.columns[connector - 1]
-        ra, rb = rows[lo - 1], rows[hi - 1]
-        a = ra[0] if ra[1] == connector else ra[1]
-        b = rb[0] if rb[1] == connector else rb[1]
-    else:
-        lo, hi = rows[connector - 1]
-        ca = d.columns[lo - 1]
-        cb = d.columns[hi - 1]
-        a = ca[0] if ca[1] == connector else ca[1]
-        b = cb[0] if cb[1] == connector else cb[1]
+    edges, links = _axis_pair(d, axis, rows)
+    lo, hi = links[connector - 1]
+    ea, eb = edges[lo - 1], edges[hi - 1]
+    a = ea[0] if ea[1] == connector else ea[1]
+    b = eb[0] if eb[1] == connector else eb[1]
     if a == b:
         raise InapplicableMoveError(
             "merge would collapse a closed square component to a point"
@@ -210,6 +218,7 @@ def available_moves(d: GridDiagram, include_divides: bool = False) -> list[Cromw
     n = d.n
     out: list[CromwellMove] = []
     rows = d.row_spans()
+    pairs = [(axis, *_axis_pair(d, axis, rows)) for axis in Axis]
 
     def merge_ok(axis: Axis, idx: int) -> bool:
         try:
@@ -218,31 +227,22 @@ def available_moves(d: GridDiagram, include_divides: bool = False) -> list[Cromw
             return False
         return True
 
-    for i, (lo, hi) in enumerate(d.columns, start=1):
-        if hi - lo == 1 and merge_ok(Axis.HORIZONTAL, i):
-            out.append(interior_merge(Axis.HORIZONTAL, i))
-    for j, (a, b) in enumerate(rows, start=1):
-        if b - a == 1 and merge_ok(Axis.VERTICAL, j):
-            out.append(interior_merge(Axis.VERTICAL, j))
-    for i, (lo, hi) in enumerate(d.columns, start=1):
-        if (lo, hi) == (1, n) and merge_ok(Axis.HORIZONTAL, i):
-            out.append(exterior_merge(Axis.HORIZONTAL, i, LOW))
-            out.append(exterior_merge(Axis.HORIZONTAL, i, HIGH))
-    for j, (a, b) in enumerate(rows, start=1):
-        if (a, b) == (1, n) and merge_ok(Axis.VERTICAL, j):
-            out.append(exterior_merge(Axis.VERTICAL, j, LOW))
-            out.append(exterior_merge(Axis.VERTICAL, j, HIGH))
-
-    for j in range(1, n):
-        if _exchangeable(rows[j - 1], rows[j]):
-            out.append(interior_exchange(Axis.HORIZONTAL, j))
-    for i in range(1, n):
-        if _exchangeable(d.columns[i - 1], d.columns[i]):
-            out.append(interior_exchange(Axis.VERTICAL, i))
-    if _exchangeable(rows[0], rows[n - 1]):
-        out.append(exterior_exchange(Axis.HORIZONTAL))
-    if _exchangeable(d.columns[0], d.columns[n - 1]):
-        out.append(exterior_exchange(Axis.VERTICAL))
+    for axis, _, links in pairs:
+        for i, (lo, hi) in enumerate(links, start=1):
+            if hi - lo == 1 and merge_ok(axis, i):
+                out.append(interior_merge(axis, i))
+    for axis, _, links in pairs:
+        for i, span in enumerate(links, start=1):
+            if span == (1, n) and merge_ok(axis, i):
+                out.append(exterior_merge(axis, i, LOW))
+                out.append(exterior_merge(axis, i, HIGH))
+    for axis, edges, _ in pairs:
+        for j in range(1, n):
+            if _exchangeable(edges[j - 1], edges[j]):
+                out.append(interior_exchange(axis, j))
+    for axis, edges, _ in pairs:
+        if _exchangeable(edges[0], edges[n - 1]):
+            out.append(exterior_exchange(axis))
 
     out.extend(ROTATIONS)
 
@@ -267,12 +267,97 @@ def all_divides(d: GridDiagram) -> list[CromwellMove]:
     return out
 
 
-def _relabel_rows(d: GridDiagram, table: dict[int, int]) -> GridDiagram:
-    cols = []
-    for lo, hi in d.columns:
-        a, b = table.get(lo, lo), table.get(hi, hi)
-        cols.append((a, b) if a < b else (b, a))
-    return GridDiagram(d.n, tuple(cols))
+def _relabel(links: list[Span] | tuple[Span, ...], table: list[int]) -> list[Span]:
+    """The links with every level r replaced by table[r]."""
+    out = []
+    for lo, hi in links:
+        a, b = table[lo], table[hi]
+        out.append((a, b) if a < b else (b, a))
+    return out
+
+
+def _relink(
+    d: GridDiagram, m: CromwellMove, rows: tuple[Span, ...] | None
+) -> tuple[int, list[Span]]:
+    """The size and links after m, on the (edges, links) pair of m.axis.
+
+    `rows` is d.row_spans(), or None for a rotation, which needs no edges.
+    Error messages name rows and columns as for a horizontal move, whatever
+    the axis.
+    """
+    n = d.n
+    edges, links = _axis_pair(d, m.axis, rows)
+    kind = m.kind
+    if kind in (MoveKind.INTERIOR_EXCHANGE, MoveKind.EXTERIOR_EXCHANGE):
+        if kind is MoveKind.INTERIOR_EXCHANGE:
+            (j,) = m.site
+            if not 1 <= j <= n - 1:
+                raise InapplicableMoveError(f"exchange level {j} out of range")
+            lo, hi = j, j + 1
+        else:
+            lo, hi = 1, n
+        if not _exchangeable(edges[lo - 1], edges[hi - 1]):
+            raise InapplicableMoveError(
+                f"rows {lo} and {hi} are {interleaved(edges[lo - 1], edges[hi - 1]).value}"
+            )
+        table = list(range(n + 1))
+        table[lo], table[hi] = hi, lo
+        return n, _relabel(links, table)
+
+    if kind is MoveKind.ROTATION:
+        (direction,) = m.site
+        table = [0, *range(2, n + 1), 1] if direction == TO_LOW else [0, n, *range(1, n)]
+        return n, _relabel(links, table)
+
+    if kind in (MoveKind.INTERIOR_MERGE, MoveKind.EXTERIOR_MERGE):
+        i = m.site[0]
+        if n == 2:
+            raise InapplicableMoveError("merging the 2x2 diagram would leave a single edge")
+        if not 1 <= i <= n:
+            raise InapplicableMoveError(f"connector {i} out of range")
+        lo, hi = links[i - 1]
+        if kind is MoveKind.INTERIOR_MERGE:
+            if hi - lo != 1:
+                raise InapplicableMoveError(f"column {i} has length {hi - lo}, not 1")
+            # the merged edge keeps the connector's low level
+            table = [*range(hi), *range(lo, n)]
+        else:
+            if (lo, hi) != (1, n):
+                raise InapplicableMoveError(f"column {i} does not span rows 1..{n}")
+            # the merged edge goes to the placement's extreme level
+            if m.site[1] == LOW:
+                table = [0, 1, *range(2, n), 1]
+            else:
+                table = [0, n - 1, *range(1, n - 1), n - 1]
+        _merge_endpoints(d, m.axis, i, rows)
+        return n - 1, _relabel(links[: i - 1] + links[i:], table)
+
+    if kind is MoveKind.DIVIDE:
+        edge, pos, first_low, exterior = m.site
+        if not 1 <= edge <= n:
+            raise InapplicableMoveError(f"row {edge} out of range")
+        if not 1 <= pos <= n + 1:
+            raise InapplicableMoveError(f"insert position {pos} out of range")
+        a, b = edges[edge - 1]
+        high = b if first_low else a
+        # table[edge] is the low piece's new level and table[0] the high
+        # piece's: the high link's endpoint at `edge` is renamed 0 first
+        if not exterior:
+            table = [edge + 1, *range(1, edge + 1), *range(edge + 2, n + 2)]
+        elif edge == 1:
+            table = [n + 1, *range(1, n + 1)]
+        elif edge == n:
+            table = [n + 1, *range(2, n + 1), 1]
+        else:
+            raise InapplicableMoveError("exterior divide must split an extreme edge")
+        split = list(links)
+        lo, hi = split[high - 1]
+        split[high - 1] = (0, hi) if lo == edge else (lo, 0)
+        out = _relabel(split, table)
+        out.insert(pos - 1, (1, n + 1) if exterior else (edge, edge + 1))
+        return n + 1, out
+
+    raise MoveError(f"unhandled move kind {kind}")
 
 
 _COLUMN_PERMUTATIONS = (MoveKind.INTERIOR_EXCHANGE, MoveKind.EXTERIOR_EXCHANGE, MoveKind.ROTATION)
@@ -305,159 +390,43 @@ def _permute_columns(d: GridDiagram, m: CromwellMove) -> GridDiagram:
 def apply(d: GridDiagram, m: CromwellMove) -> GridDiagram:
     """Apply one move, returning the new diagram or raising.
 
-    A vertical exchange or rotation permutes the column spans directly.  The
-    other vertical-axis moves are carried out on the transposed diagram with
-    the horizontal implementation, then transposed back.
+    The move relabels the links of its axis pair (module docstring): the
+    column spans for a horizontal move, the row spans for a vertical one,
+    whose result is transposed once back into columns.  A vertical exchange
+    or rotation only reorders the columns, so it permutes them directly.
     """
-    if m.axis is Axis.VERTICAL:
-        if m.kind in _COLUMN_PERMUTATIONS:
-            return _permute_columns(d, m)
-        return apply_symmetry(apply(apply_symmetry(d, "transpose"), flip_axis(m)), "transpose")
-
-    n = d.n
-    kind = m.kind
-    if kind is MoveKind.INTERIOR_EXCHANGE:
-        (j,) = m.site
-        if not 1 <= j <= n - 1:
-            raise InapplicableMoveError(f"exchange level {j} out of range")
-        rows = d.row_spans()
-        if not _exchangeable(rows[j - 1], rows[j]):
-            raise InapplicableMoveError(
-                f"rows {j} and {j + 1} are {interleaved(rows[j - 1], rows[j]).value}"
-            )
-        return _relabel_rows(d, {j: j + 1, j + 1: j})
-
-    if kind is MoveKind.EXTERIOR_EXCHANGE:
-        rows = d.row_spans()
-        if not _exchangeable(rows[0], rows[n - 1]):
-            raise InapplicableMoveError(
-                f"rows 1 and {n} are {interleaved(rows[0], rows[n - 1]).value}"
-            )
-        return _relabel_rows(d, {1: n, n: 1})
-
-    if kind is MoveKind.ROTATION:
-        (direction,) = m.site
-        if direction == TO_LOW:
-            table = {n: 1, **{j: j + 1 for j in range(1, n)}}
-        else:
-            table = {1: n, **{j: j - 1 for j in range(2, n + 1)}}
-        return _relabel_rows(d, table)
-
-    if kind is MoveKind.INTERIOR_MERGE:
-        (i,) = m.site
-        if n == 2:
-            raise InapplicableMoveError("merging the 2x2 diagram would leave a single edge")
-        lo, hi = d.columns[i - 1]
-        if hi - lo != 1:
-            raise InapplicableMoveError(f"column {i} has length {hi - lo}, not 1")
-        a, b = _merge_endpoints(d, Axis.HORIZONTAL, i)
-        j = lo  # merged edges at rows j, j+1; merged row keeps label j
-        cols = []
-        for c, (clo, chi) in enumerate(d.columns, start=1):
-            if c == i:
-                continue
-            mapped = []
-            for r in (clo, chi):
-                if r > j + 1:
-                    mapped.append(r - 1)
-                elif r == j + 1:
-                    mapped.append(j)
-                else:
-                    mapped.append(r)
-            x, y = mapped
-            cols.append((x, y) if x < y else (y, x))
-        return GridDiagram(n - 1, tuple(cols))
-
-    if kind is MoveKind.EXTERIOR_MERGE:
-        i, placement = m.site
-        if n == 2:
-            raise InapplicableMoveError("merging the 2x2 diagram would leave a single edge")
-        if d.columns[i - 1] != (1, n):
-            raise InapplicableMoveError(f"column {i} does not span rows 1..{n}")
-        _merge_endpoints(d, Axis.HORIZONTAL, i)
-        cols = []
-        for c, (clo, chi) in enumerate(d.columns, start=1):
-            if c == i:
-                continue
-            mapped = []
-            for r in (clo, chi):
-                if placement == LOW:
-                    mapped.append(1 if r in (1, n) else r)
-                else:
-                    mapped.append(n - 1 if r in (1, n) else r - 1)
-            x, y = mapped
-            cols.append((x, y) if x < y else (y, x))
-        return GridDiagram(n - 1, tuple(cols))
-
-    if kind is MoveKind.DIVIDE:
-        edge, pos, first_low, exterior = m.site
-        if not 1 <= edge <= n:
-            raise InapplicableMoveError(f"row {edge} out of range")
-        if not 1 <= pos <= n + 1:
-            raise InapplicableMoveError(f"insert position {pos} out of range")
-        rows = d.row_spans()
-        a, b = rows[edge - 1]
-        low_col, high_col = (a, b) if first_low else (b, a)
-        if exterior:
-            if edge not in (1, n):
-                raise InapplicableMoveError("exterior divide must split an extreme edge")
-            # Pieces go to new rows 1 and n+1, joined by a spanning column.
-            if edge == 1:
-                table = {}  # rows 2..n keep their labels
-            else:
-                table = {j: j + 1 for j in range(1, n)}
-            row_of = {low_col: 1, high_col: n + 1}
-        else:
-            table = {j: j + 1 for j in range(edge + 1, n + 1)}
-            row_of = {low_col: edge, high_col: edge + 1}
-        cols: list[Span] = []
-        for c, (clo, chi) in enumerate(d.columns, start=1):
-            mapped = []
-            for r in (clo, chi):
-                if r == edge and c in row_of:
-                    mapped.append(row_of[c])
-                    del row_of[c]
-                else:
-                    mapped.append(table.get(r, r))
-            x, y = mapped
-            cols.append((x, y) if x < y else (y, x))
-        connector: Span = (1, n + 1) if exterior else (edge, edge + 1)
-        cols.insert(pos - 1, connector)
-        return GridDiagram(n + 1, tuple(cols))
-
-    raise MoveError(f"unhandled move kind {kind}")
+    if m.axis is Axis.VERTICAL and m.kind in _COLUMN_PERMUTATIONS:
+        return _permute_columns(d, m)
+    rows = None if m.kind is MoveKind.ROTATION else d.row_spans()
+    n, links = _relink(d, m, rows)
+    out = GridDiagram(n, tuple(links))
+    return out if m.axis is Axis.HORIZONTAL else apply_symmetry(out, "transpose")
 
 
 def inverse(m: CromwellMove, before: GridDiagram) -> CromwellMove:
     """The move undoing m, given the diagram m applies to."""
-    if m.axis is Axis.VERTICAL:
-        return flip_axis(inverse(flip_axis(m), apply_symmetry(before, "transpose")))
-
-    n = before.n
     kind = m.kind
     if kind in (MoveKind.INTERIOR_EXCHANGE, MoveKind.EXTERIOR_EXCHANGE):
         return m
     if kind is MoveKind.ROTATION:
         (direction,) = m.site
         return rotation(m.axis, TO_HIGH if direction == TO_LOW else TO_LOW)
-    if kind is MoveKind.INTERIOR_MERGE:
-        (i,) = m.site
-        j = before.columns[i - 1][0]
-        a, b = _merge_endpoints(before, Axis.HORIZONTAL, i)
-        map_col = lambda c: c - 1 if c > i else c
-        return divide(Axis.HORIZONTAL, j, i, first_low=map_col(a) < map_col(b), exterior=False)
-    if kind is MoveKind.EXTERIOR_MERGE:
-        i, placement = m.site
-        a, b = _merge_endpoints(before, Axis.HORIZONTAL, i)
-        map_col = lambda c: c - 1 if c > i else c
-        edge = 1 if placement == LOW else n - 1
-        return divide(Axis.HORIZONTAL, edge, i, first_low=map_col(a) < map_col(b), exterior=True)
     if kind is MoveKind.DIVIDE:
         edge, pos, first_low, exterior = m.site
         if exterior:
-            placement = LOW if edge == 1 else HIGH
-            return exterior_merge(Axis.HORIZONTAL, pos, placement)
-        return interior_merge(Axis.HORIZONTAL, pos)
+            return exterior_merge(m.axis, pos, LOW if edge == 1 else HIGH)
+        return interior_merge(m.axis, pos)
+    if kind in (MoveKind.INTERIOR_MERGE, MoveKind.EXTERIOR_MERGE):
+        # The divide puts the connector back at link i.  Dropping link i
+        # keeps the order of the partners a and b, neither of which is i.
+        i = m.site[0]
+        rows = before.row_spans()
+        _, links = _axis_pair(before, m.axis, rows)
+        a, b = _merge_endpoints(before, m.axis, i, rows)
+        if kind is MoveKind.INTERIOR_MERGE:
+            return divide(m.axis, links[i - 1][0], i, first_low=a < b, exterior=False)
+        edge = 1 if m.site[1] == LOW else before.n - 1
+        return divide(m.axis, edge, i, first_low=a < b, exterior=True)
     raise MoveError(f"unhandled move kind {kind}")
 
 

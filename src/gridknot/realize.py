@@ -68,14 +68,6 @@ class RealizationTrace:
             out[m.kind] = out.get(m.kind, 0) + 1
         return out
 
-    def to_json_obj(self) -> dict:
-        return {
-            "initial_gauss": planar.gauss_code(self.initial),
-            "moves": [m.to_json_obj() for m in self.moves],
-            "final_gauss": planar.gauss_code(self.final),
-            "counts": self.counts_by_kind(),
-        }
-
 
 # --- geometric extraction -----------------------------------------------------
 

@@ -110,7 +110,11 @@ class SimplificationWitness:
 
     start: GridDiagram
     moves: tuple[mv.CromwellMove, ...]
-    uses_exterior: tuple[bool, ...]
+
+    @property
+    def uses_exterior(self) -> tuple[bool, ...]:
+        """Per move, whether it is an exterior exchange."""
+        return tuple(m.kind is mv.MoveKind.EXTERIOR_EXCHANGE for m in self.moves)
 
     def to_json_obj(self) -> dict:
         from .grid import to_json_obj
@@ -211,8 +215,7 @@ def _build_witness(parents, start: GridDiagram, end_key: bytes) -> Simplificatio
         chain.append(move)
         parent_key, move = parents[parent_key]
     chain.reverse()
-    flags = tuple(m.kind is mv.MoveKind.EXTERIOR_EXCHANGE for m in chain)
-    return SimplificationWitness(start, tuple(chain), flags)
+    return SimplificationWitness(start, tuple(chain))
 
 
 def is_trivial(

@@ -198,6 +198,24 @@ def test_stuck_census_at_five():
     assert rep.trivial_orbits == []
 
 
+def test_stuck_trivial_census_at_eight():
+    filt = cs.CensusFilter(knots_only=True, stuck_only=True, trivial_only=True)
+    res = cs.enumerate_diagrams(8, filt)
+    assert (res.orbit_count, res.trivial_stuck_count) == (2, 16)
+    report = cs.verify_stuck_census(8)
+    assert res.representatives == report.trivial_orbits
+    summary = report.summary()
+    del summary["elapsed_s"]
+    assert summary == {
+        "n": 8,
+        "stuck_knot_orbits": 291,
+        "trivial_stuck_orbits": 2,
+        "trivial_stuck_raw": 16,
+        "all_admit_both_exterior_exchanges": True,
+        "all_need_exterior": True,
+    }
+
+
 def test_census_checkpoint_resume(tmp_path):
     ckpt = str(tmp_path / "census.ckpt")
     full = cs.enumerate_diagrams(4, checkpoint=ckpt)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gridknot import cli, simplify
+from gridknot.census import verify_stuck_census
 from gridknot.grid import from_json_obj, to_json_obj, to_text, trivial_diagram
 
 
@@ -68,6 +69,15 @@ def test_census_summary_and_out(capsys, tmp_path):
     assert obj["n"] == 4
     assert obj["trivial_stuck_count"] == 0
     assert open(out).read() == ""
+
+
+def test_stuck_trivial_census_out_at_eight(capsys, tmp_path):
+    out = tmp_path / "reps.grids"
+    obj = run(capsys, "census", "--n", "8", "--stuck", "--trivial", "--out", str(out))
+    assert (obj["orbit_count"], obj["trivial_stuck_count"]) == (2, 16)
+    trivial = verify_stuck_census(8).trivial_orbits
+    assert out.read_text() == "".join(to_text(d) for d in trivial)
+    assert len(trivial) == 2
 
 
 def test_census_jobs_agree(capsys, tmp_path):
@@ -170,6 +180,17 @@ def test_small_memory_cap_caps_the_search(capsys, monkeypatch, tmp_path):
     }
 
 
+@pytest.mark.parametrize("flag, value", (("--limit-states", "50"), ("--limit-seconds", "0.001")))
+def test_search_limit_flags_give_limit_exceeded(capsys, tmp_path, flag, value):
+    # the 8-grid trefoil, which no search settles in 50 states or 1 ms
+    path = tmp_path / "trefoil8.grid"
+    path.write_text("8\n4-5 2-7 4-8 1-7 6-8 2-6 3-5 1-3\n")
+    obj = run(capsys, "simplify", "--grid", str(path), flag, value)
+    assert obj["verdict"] == "limit_exceeded"
+    if flag == "--limit-states":
+        assert obj["states_visited"] == 50
+
+
 def test_trace_without_grid_is_domain_error(capsys, tmp_path):
     move = {"kind": "exterior_exchange", "axis": "horizontal", "site": []}
     _replay_is_rejected(capsys, tmp_path, "--trace", {"move": move})
@@ -192,6 +213,13 @@ def test_bad_move_in_trace_is_domain_error(capsys, tmp_path, move):
 @pytest.mark.parametrize("move", BAD_MOVES)
 def test_bad_move_in_witness_is_domain_error(capsys, tmp_path, move):
     start = to_json_obj(trivial_diagram())
+    _replay_is_rejected(capsys, tmp_path, "--witness", {"start": start, "moves": [move]})
+
+
+@pytest.mark.parametrize("kind, site", (("interior_merge", [0]), ("exterior_merge", [4, "low"])))
+def test_witness_merge_site_out_of_range_is_domain_error(capsys, tmp_path, kind, site):
+    start = {"n": 3, "columns": [[1, 2], [2, 3], [1, 3]]}
+    move = {"kind": kind, "axis": "vertical", "site": site}
     _replay_is_rejected(capsys, tmp_path, "--witness", {"start": start, "moves": [move]})
 
 

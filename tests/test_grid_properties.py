@@ -148,19 +148,26 @@ def _outcome(apply, d: GridDiagram, m: mv.CromwellMove) -> GridDiagram | None:
 
 
 @PROPERTY
-@given(grids())
-def test_vertical_exchanges_and_rotations_equal_the_transpose_path(d):
-    """Every vertical exchange site and both vertical rotations: applied
-    directly to the columns, each equals the horizontal move on the
-    transpose, and applies exactly when it is listed."""
+@given(grids(), st.data())
+def test_vertical_exchanges_and_rotations_equal_the_transpose_path(d, data):
+    """Every vertical exchange site, both vertical rotations, every listed
+    vertical merge and one drawn vertical divide: each equals the horizontal
+    move on the transpose, and so does its inverse.  An exchange or rotation
+    applies exactly when it is listed."""
     v = mv.Axis.VERTICAL
     sites = [mv.interior_exchange(v, i) for i in range(1, d.n)]
     sites += [mv.exterior_exchange(v), mv.rotation(v, mv.TO_LOW), mv.rotation(v, mv.TO_HIGH)]
-    listed = [m for m in mv.available_moves(d) if m.axis is v and m in sites]
-    for m in sites:
+    listed = [m for m in mv.available_moves(d) if m.axis is v]
+    merges = [m for m in listed if m.kind in (mv.MoveKind.INTERIOR_MERGE, mv.MoveKind.EXTERIOR_MERGE)]
+    divide = data.draw(st.sampled_from([m for m in mv.all_divides(d) if m.axis is v]))
+    transposed = apply_symmetry(d, "transpose")
+    for m in [*sites, *merges, divide]:
         direct = _outcome(mv.apply, d, m)
         assert direct == _outcome(_via_transpose, d, m)
-        assert (direct is not None) == (m in listed)
+        if m in sites:
+            assert (direct is not None) == (m in listed)
+        if direct is not None:
+            assert mv.inverse(m, d) == mv.flip_axis(mv.inverse(mv.flip_axis(m), transposed))
 
 
 @st.composite

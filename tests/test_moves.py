@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from gridknot import moves as mv
-from gridknot.grid import component_count, extremal_diagram, trivial_diagram, validate
+from gridknot.grid import component_count, extremal_diagram, to_text, trivial_diagram, validate
 from gridknot.moves import Axis, Interleaving, InapplicableMoveError, MoveKind, interleaved
+from gridknot.simplify import scramble
 
 from conftest import census_reps
 
@@ -151,3 +155,50 @@ def test_move_json_round_trip():
     ]
     for m in moves:
         assert mv.move_from_json_obj(m.to_json_obj()) == m
+
+
+def _move_layer_record(d, k: int) -> bytes:
+    """Listing with divides, then the outcome and inverse of every listed
+    move and of three unlisted ones picked by k."""
+    n = d.n
+    listed = mv.available_moves(d, include_divides=True)
+    listed_set = set(listed)
+    unlisted = [
+        m
+        for axis in Axis
+        for m in (
+            *(mv.interior_merge(axis, i) for i in range(1, n + 1)),
+            *(mv.exterior_merge(axis, i, place) for i in range(1, n + 1) for place in (mv.LOW, mv.HIGH)),
+            *(mv.interior_exchange(axis, j) for j in range(1, n + 1)),
+            mv.exterior_exchange(axis),
+            mv.divide(axis, n + 1, 1, True),
+            mv.divide(axis, 1, n + 2, False),
+            mv.divide(axis, 2, 1, True, exterior=True),
+        )
+        if m not in listed_set
+    ]
+    picked = [unlisted[(7 * k + j * len(unlisted) // 3) % len(unlisted)] for j in range(3)]
+    parts = [to_text(d), json.dumps([m.to_json_obj() for m in listed])]
+    for m in listed + picked:
+        try:
+            after = mv.apply(d, m)
+        except mv.MoveError as exc:
+            parts.append(f"{json.dumps(m.to_json_obj())} {type(exc).__name__}: {exc}")
+            continue
+        inv = mv.inverse(m, d).to_json_obj()
+        parts.append(f"{json.dumps(m.to_json_obj())} {to_text(after)} {json.dumps(inv)}")
+    return "\n".join(parts).encode()
+
+
+# SHA-256 of the move layer's outputs (`_move_layer_record`) over every
+# n <= 5 census representative, links included, and 300 scrambles.
+MOVE_LAYER_DIGEST = "cb47ea1676b6db416466384b24efa6a770279c7582e7171c0ece90af064d093d"
+
+
+def test_move_layer_golden_digest():
+    diagrams = [d for n in range(2, 6) for d in census_reps(n)]
+    diagrams += [scramble(s, s % 21) for s in range(300)]
+    h = hashlib.sha256()
+    for k, d in enumerate(diagrams):
+        h.update(_move_layer_record(d, k))
+    assert h.hexdigest() == MOVE_LAYER_DIGEST

@@ -79,6 +79,11 @@ def test_limit_exceeded_is_a_distinct_outcome(stuck8):
     assert report.verdict is sp.Verdict.LIMIT_EXCEEDED
 
 
+def test_time_limit_is_limit_exceeded_never_a_verdict():
+    report = sp.is_trivial(TREFOIL8, sp.SearchLimits(max_seconds=0.001), want_witness=False)
+    assert report.verdict is sp.Verdict.LIMIT_EXCEEDED
+
+
 def _capped_peak(monkeypatch, d, cap_mb, want_witness):
     monkeypatch.setenv("GRIDKNOT_LIMIT_MB", str(cap_mb))
     limits = sp.SearchLimits()
@@ -181,10 +186,7 @@ def test_witness_json_round_trip(stuck8):
 
     start = from_json_obj(obj["start"])
     seq = tuple(mv.move_from_json_obj(o) for o in obj["moves"])
-    rebuilt = sp.SimplificationWitness(
-        start, seq, tuple(m.kind is mv.MoveKind.EXTERIOR_EXCHANGE for m in seq)
-    )
-    sp.replay_witness(rebuilt)
+    sp.replay_witness(sp.SimplificationWitness(start, seq))
 
 
 # SHA-256 of the witness JSON, one line per diagram, of test_08's scrambles
