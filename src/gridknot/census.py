@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -311,6 +310,8 @@ def enumerate_diagrams(
 
     workers = jobs if jobs > 1 and len(pending) > 1 else 1
     if workers > 1:
+        import multiprocessing  # about 1 MB of memory, paid only by a pool
+
         with multiprocessing.Pool(workers) as pool:
             for task, tall in zip(pending, pool.imap(_worker_task, pending)):
                 record(task, tall)
@@ -368,7 +369,7 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[size - 1][size - 1]
 
 
-def knot_determinant(d: GridDiagram) -> int:
+def knot_determinant(d: GridDiagram, known_knot: bool = False) -> int:
     """|Delta(-1)| of the knot d; 1 is necessary (not sufficient) for the
     trivial knot.
 
@@ -379,8 +380,11 @@ def knot_determinant(d: GridDiagram) -> int:
     x, y = 0..n-1, has a(p) odd exactly when an odd number of columns
     c >= x + 1 have lo_c <= y < hi_c.  At t = -1 the matrix is +-1, and
     |Delta(-1)| = |det| / 2^(n-1).
+
+    known_knot=True says that the caller has already found d to be a knot,
+    which skips the walk of its components.
     """
-    if component_count(d) != 1:
+    if not known_knot and component_count(d) != 1:
         raise NotAKnotError("determinant requires a single-component diagram")
     matrix = []
     for y in range(d.n):
@@ -398,8 +402,8 @@ def knot_determinant(d: GridDiagram) -> int:
 
 def _proves_trivial(d: GridDiagram, limits: SearchLimits | None) -> bool:
     """Whether the knot d is trivial; a determinant other than 1 settles it
-    without a search."""
-    if knot_determinant(d) != 1:
+    without a search.  Every caller passes a knot the census filter found."""
+    if knot_determinant(d, known_knot=True) != 1:
         return False
     verdict = is_trivial(d, limits, want_witness=False).verdict
     if verdict is Verdict.LIMIT_EXCEEDED:

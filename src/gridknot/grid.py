@@ -289,15 +289,27 @@ def canonical_form(d: GridDiagram) -> CanonicalForm:
     return CanonicalForm(GridDiagram(d.n, images[best]), best, len(set(images.values())))
 
 
-def canonical_key(d: GridDiagram) -> bytes:
+def canonical_key(d: GridDiagram, rows: tuple[Span, ...] | None = None) -> bytes:
     """Compact canonical identifier used for search/census dedup: n, then the
-    least image's spans flattened (the same order as comparing span tuples)."""
-    rows = d.row_spans()
-    best = min(_image(d, rows, sym) for sym in SYMMETRIES)
+    least image's spans flattened (the same order as comparing span tuples).
+
+    The least image starts with the least first span, so only the images
+    whose first span is least are built.  `rows` is d.row_spans(), computed
+    here when not given.
+    """
+    if rows is None:
+        rows = d.row_spans()
+    m = d.n + 1
+    firsts = []
+    for sym, (swap, reverse_x, reverse_y) in _SYMMETRY_TABLE.items():
+        lo, hi = (rows if swap else d.columns)[-1 if reverse_x else 0]
+        firsts.append(((m - hi, m - lo) if reverse_y else (lo, hi), sym))
+    least = min(firsts)[0]
+    best = min(_image(d, rows, sym) for first, sym in firsts if first == least)
     return bytes([d.n, *(r for span in best for r in span)])
 
 
-def torus_key(d: GridDiagram) -> bytes:
+def torus_key(d: GridDiagram, rows: tuple[Span, ...] | None = None) -> bytes:
     """Key of d's torus orbit: the least image over the eight square
     symmetries and the n x n cyclic shifts of the columns and rows, in
     canonical_key's format.
@@ -309,10 +321,12 @@ def torus_key(d: GridDiagram) -> bytes:
     reverse y reflects the rows) and each column of torus length L, the
     shift that puts that column first and one of its ends on row 1.  The
     candidates are compared span by span and the larger ones dropped, so
-    no image is built whole.
+    no image is built whole.  `rows` is d.row_spans(), computed here when
+    not given.
     """
     n = d.n
-    rows = d.row_spans()
+    if rows is None:
+        rows = d.row_spans()
     least = min(min(hi - lo, n - hi + lo) for lo, hi in d.columns + rows)
     # a candidate walks `base` from column `first` by `step` and maps row r
     # to (sign * (r - origin)) mod n + 1

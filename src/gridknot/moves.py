@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .grid import GridDiagram, Span, apply_symmetry
 
@@ -99,16 +99,22 @@ def flip_axis(m: CromwellMove) -> CromwellMove:
 
 
 def move_from_json_obj(obj: dict) -> CromwellMove:
+    """Parse a move.  The site must hold the kind's number of entries, of
+    its types (levels are integers, a divide's flags booleans), and the
+    kind's constructor checks their values; anything else is a MoveError."""
     try:
         kind = MoveKind(obj["kind"])
         axis = Axis(obj["axis"])
-        site = tuple(obj.get("site", ()))
-        if kind is MoveKind.DIVIDE:
-            edge, pos, first_low, exterior = site
-            site = (int(edge), int(pos), bool(first_low), bool(exterior))
+        site = obj.get("site", ())
+        constructor, types = _SITES[kind]
+        if not isinstance(site, (list, tuple)) or len(site) != len(types):
+            raise MoveError(f"{kind.value} site must be a list of {len(types)} entries")
+        if any(type(v) is not t for v, t in zip(site, types)):
+            names = ", ".join(t.__name__ for t in types)
+            raise MoveError(f"{kind.value} site entries must be of types ({names})")
+        return constructor(axis, *site)
     except (KeyError, TypeError, ValueError) as exc:
         raise MoveError(f"bad move JSON {obj!r}: {exc!r}") from exc
-    return CromwellMove(kind, axis, site)
 
 
 # Moves are immutable, so the constructors that `available_moves` lists with
@@ -148,6 +154,17 @@ def divide(axis: Axis, edge: int, position: int, first_low: bool, exterior: bool
     return CromwellMove(MoveKind.DIVIDE, axis, (edge, position, first_low, exterior))
 
 
+# per kind, the constructor taking (axis, *site) and the site's entry types
+_SITES = {
+    MoveKind.INTERIOR_MERGE: (interior_merge, (int,)),
+    MoveKind.EXTERIOR_MERGE: (exterior_merge, (int, str)),
+    MoveKind.DIVIDE: (divide, (int, int, bool, bool)),
+    MoveKind.INTERIOR_EXCHANGE: (interior_exchange, (int,)),
+    MoveKind.EXTERIOR_EXCHANGE: (exterior_exchange, ()),
+    MoveKind.ROTATION: (rotation, (str,)),
+}
+
+
 ROTATIONS: tuple[CromwellMove, ...] = (
     rotation(Axis.HORIZONTAL, TO_LOW),
     rotation(Axis.HORIZONTAL, TO_HIGH),
@@ -178,6 +195,17 @@ def _axis_pair(d: GridDiagram, axis: Axis, rows: tuple[Span, ...] | None) -> tup
     return (rows, d.columns) if axis is Axis.HORIZONTAL else (d.columns, rows)
 
 
+def _partners(edges: tuple[Span, ...], links: tuple[Span, ...], connector: int) -> tuple[int, int]:
+    """The other links (a, b) used by the edges at the two levels of link
+    `connector`, a on its low edge; a == b when merging them would collapse
+    a closed square component to a point."""
+    lo, hi = links[connector - 1]
+    ea, eb = edges[lo - 1], edges[hi - 1]
+    a = ea[0] if ea[1] == connector else ea[1]
+    b = eb[0] if eb[1] == connector else eb[1]
+    return a, b
+
+
 def _merge_endpoints(
     d: GridDiagram,
     axis: Axis,
@@ -194,11 +222,7 @@ def _merge_endpoints(
     """
     if rows is None:
         rows = d.row_spans()
-    edges, links = _axis_pair(d, axis, rows)
-    lo, hi = links[connector - 1]
-    ea, eb = edges[lo - 1], edges[hi - 1]
-    a = ea[0] if ea[1] == connector else ea[1]
-    b = eb[0] if eb[1] == connector else eb[1]
+    a, b = _partners(*_axis_pair(d, axis, rows), connector)
     if a == b:
         raise InapplicableMoveError(
             "merge would collapse a closed square component to a point"
@@ -206,46 +230,56 @@ def _merge_endpoints(
     return a, b
 
 
-def available_moves(d: GridDiagram, include_divides: bool = False) -> list[CromwellMove]:
-    """Every applicable move, in a fixed deterministic order.
+def iter_merges(d: GridDiagram, rows: tuple[Span, ...]) -> Iterator[CromwellMove]:
+    """The merges of d in `available_moves` order, each found only when it
+    is asked for; `rows` is d.row_spans().
 
-    Merge listing follows the edge-length criterion: a length-1 connector
-    gives an interior merge, a spanning connector of length n-1 an exterior
-    merge (with both placements).  Structurally degenerate merges (closed
-    square sub-component) are not listed; at n=2 that is every merge, as the
-    2x2 diagram is terminal.
+    A length-1 connector gives an interior merge, a spanning connector of
+    length n-1 an exterior merge with both placements.  Structurally
+    degenerate merges (closed square sub-component) are not listed; at n=2
+    that is every merge, as the 2x2 diagram is terminal.
     """
     n = d.n
-    out: list[CromwellMove] = []
-    rows = d.row_spans()
-    pairs = [(axis, *_axis_pair(d, axis, rows)) for axis in Axis]
-
-    def merge_ok(axis: Axis, idx: int) -> bool:
-        try:
-            _merge_endpoints(d, axis, idx, rows)
-        except InapplicableMoveError:
-            return False
-        return True
-
-    for axis, _, links in pairs:
+    pairs = ((Axis.HORIZONTAL, rows, d.columns), (Axis.VERTICAL, d.columns, rows))
+    for axis, edges, links in pairs:
         for i, (lo, hi) in enumerate(links, start=1):
-            if hi - lo == 1 and merge_ok(axis, i):
-                out.append(interior_merge(axis, i))
-    for axis, _, links in pairs:
+            if hi - lo == 1:
+                a, b = _partners(edges, links, i)
+                if a != b:
+                    yield interior_merge(axis, i)
+    for axis, edges, links in pairs:
         for i, span in enumerate(links, start=1):
-            if span == (1, n) and merge_ok(axis, i):
-                out.append(exterior_merge(axis, i, LOW))
-                out.append(exterior_merge(axis, i, HIGH))
-    for axis, edges, _ in pairs:
+            if span == (1, n):
+                a, b = _partners(edges, links, i)
+                if a != b:
+                    yield exterior_merge(axis, i, LOW)
+                    yield exterior_merge(axis, i, HIGH)
+
+
+def iter_exchanges(
+    d: GridDiagram, rows: tuple[Span, ...], exterior: bool = True
+) -> Iterator[CromwellMove]:
+    """The exchanges of d in `available_moves` order, each found only when
+    it is asked for, without the exterior ones unless `exterior`; `rows` is
+    d.row_spans()."""
+    n = d.n
+    pairs = ((Axis.HORIZONTAL, rows), (Axis.VERTICAL, d.columns))
+    for axis, edges in pairs:
         for j in range(1, n):
             if _exchangeable(edges[j - 1], edges[j]):
-                out.append(interior_exchange(axis, j))
-    for axis, edges, _ in pairs:
-        if _exchangeable(edges[0], edges[n - 1]):
-            out.append(exterior_exchange(axis))
+                yield interior_exchange(axis, j)
+    if exterior:
+        for axis, edges in pairs:
+            if _exchangeable(edges[0], edges[n - 1]):
+                yield exterior_exchange(axis)
 
-    out.extend(ROTATIONS)
 
+def available_moves(d: GridDiagram, include_divides: bool = False) -> list[CromwellMove]:
+    """Every applicable move, in a fixed deterministic order: the merges
+    (`iter_merges`), the exchanges (`iter_exchanges`), the four rotations,
+    and on request every divide."""
+    rows = d.row_spans()
+    out = [*iter_merges(d, rows), *iter_exchanges(d, rows), *ROTATIONS]
     if include_divides:
         out.extend(all_divides(d))
     return out
@@ -387,17 +421,19 @@ def _permute_columns(d: GridDiagram, m: CromwellMove) -> GridDiagram:
     return GridDiagram(n, tuple(out))
 
 
-def apply(d: GridDiagram, m: CromwellMove) -> GridDiagram:
+def apply(d: GridDiagram, m: CromwellMove, rows: tuple[Span, ...] | None = None) -> GridDiagram:
     """Apply one move, returning the new diagram or raising.
 
     The move relabels the links of its axis pair (module docstring): the
     column spans for a horizontal move, the row spans for a vertical one,
     whose result is transposed once back into columns.  A vertical exchange
     or rotation only reorders the columns, so it permutes them directly.
+    `rows` is d.row_spans(), computed here when a move needs it.
     """
     if m.axis is Axis.VERTICAL and m.kind in _COLUMN_PERMUTATIONS:
         return _permute_columns(d, m)
-    rows = None if m.kind is MoveKind.ROTATION else d.row_spans()
+    if rows is None and m.kind is not MoveKind.ROTATION:
+        rows = d.row_spans()
     n, links = _relink(d, m, rows)
     out = GridDiagram(n, tuple(links))
     return out if m.axis is Axis.HORIZONTAL else apply_symmetry(out, "transpose")

@@ -17,18 +17,24 @@ restricted search behind `exterior_required` has no exterior exchanges and
 no rotations, because a rotation and an interior exchange imitate an
 exterior exchange.
 
-There is one search.  Its heap holds arcs, not states: a child is built
-and keyed only when its arc is popped, so the children of a state that is
-never expanded cost nothing.  A search that builds a replayable witness
-records each state's parent and move; the witness is a valid path, not
-necessarily a shortest one.  A verdict-only search with exterior exchanges
-works on the torus: it expands one diagram per torus orbit
-(`grid.torus_key`), the orbit's least image, since the reachable orbits and
-so the verdict do not depend on which member is expanded.
+There is one search.  Its heap holds arc streams, not states: each
+expanded state has a stream of its merges and a stream of its exchanges,
+and a stream lists its next move only when it is at the top of the heap.
+A child is built and keyed only when its move is taken, so a search that
+merges its way down never lists an exchange, and the children of a state
+that is never expanded cost nothing.  Each state's row spans are derived
+once and serve its key, its torus key, its streams and the moves applied
+to it.  A search that builds a replayable witness records each state's
+parent and move; the witness is a valid path, not necessarily a shortest
+one.  A verdict-only search with exterior exchanges works on the torus: it
+expands one diagram per torus orbit (`grid.torus_key`), the orbit's least
+image, since the reachable orbits and so the verdict do not depend on which
+member is expanded.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import os
@@ -73,14 +79,16 @@ class Verdict(Enum):
 # Per-key footprint for the MB cap: the tracemalloc peak of a fresh process
 # running is_trivial(want_witness=True) on the 8-grid trefoil
 # 4-5 2-7 4-8 1-7 6-8 2-6 3-5 1-3 capped at 10,000 stored keys, over those
-# keys (Python 3.11).  That search keeps a parent key and a move per key, so
-# it is the larger of the two modes: the verdict-only search peaks at 173 B
-# per stored key when it exhausts the same knot (9,313 keys).  A fresh
-# process also leaves up to about 0.4 MB of canonical_key's span tuples on
-# the interpreter's tuple free lists, which tracemalloc counts as allocated;
-# that part is held once per process, not per search, so below about 0.5 MB
-# it dominates the peak of a first search.
-_STATE_BYTES_ESTIMATE = 319
+# keys, rounded up (3,252,188 B, Python 3.11).  That search keeps a parent
+# key and a move per key, and the diagram, row spans and arc streams of
+# each expanded state whose streams are not drained, so it is the larger
+# of the two modes: the verdict-only search peaks at 170 B per stored key
+# when it exhausts the same knot (9,313 keys).  A fresh process also
+# leaves up to about 0.4 MB of canonical_key's span tuples on the
+# interpreter's tuple free lists, which tracemalloc counts as allocated;
+# that part is held once per process, not per search, so below about
+# 0.5 MB it dominates the peak of a first search.
+_STATE_BYTES_ESTIMATE = 326
 
 
 def _default_state_limit() -> int:
@@ -140,7 +148,8 @@ class SearchReport:
         return obj
 
 
-_MERGES = (mv.MoveKind.INTERIOR_MERGE, mv.MoveKind.EXTERIOR_MERGE)
+_END = object()
+_TARGET = canonical_key(trivial_diagram())
 
 
 def _search(
@@ -151,48 +160,60 @@ def _search(
 ) -> tuple[Verdict, int, SimplificationWitness | None]:
     """Best-first reachability search for the 2x2 diagram (module docstring).
 
-    A heap entry is an arc (child size, counter, parent key, parent diagram,
-    move).  Counters follow the order in which arcs are generated, and all
-    arcs to a state share its size, so the first arc popped to a state is
-    the first one generated: states are stored in the order, and with the
-    parent and move, that building each child when it is generated would
-    give.  The 2x2 diagram is the only 2-grid, so an arc to it is popped
-    right after it is pushed.  The count returned, and charged against
-    max_states, is the number of keys stored: the states popped, plus the
-    torus orbits expanded.
+    A heap entry is an arc stream (size, expansion, parent, moves), where
+    parent = (key, diagram, row spans) is an expanded state.  Each expansion
+    pushes two streams: its merges, whose children have size n - 1, and its
+    exchanges, whose children have size n.  Until a stream first reaches
+    the top of the heap, `moves` is the function that lists them; from then
+    on it is the iterator that yields them one at a time.  Expansions are
+    numbered in order, so (size, expansion) is unique, and a stream keeps it
+    while it yields: it stays at the top until it is drained or the stream
+    of a child sorts before it.  Moves therefore come off the heap in the
+    order that one heap entry per move, ordered by child size and then by
+    generation, would give, and states are stored in that order with the
+    same parent and move.  The 2x2 diagram is the only 2-grid, so a stream
+    of merges to it is at the top as soon as it is pushed.  The count
+    returned, and charged against max_states, is the number of keys stored:
+    the states reached, plus the torus orbits expanded.
     """
-    target = canonical_key(trivial_diagram())
     torus = include_exterior_exchange and not want_witness
-    skip = (mv.MoveKind.ROTATION,)
-    if not include_exterior_exchange:
-        skip += (mv.MoveKind.EXTERIOR_EXCHANGE,)
+    exchanges = functools.partial(mv.iter_exchanges, exterior=include_exterior_exchange)
     deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
 
     # key -> (parent key, move from parent) when a witness is wanted, else None
     stored: dict[bytes, tuple[bytes | None, mv.CromwellMove | None] | None] = {}
     orbits: set[bytes] = set()
     visited = 0
-    # the start is an arc from no parent
-    heap: list[tuple] = [(start.n, 0, None, start, None)]
-    counter = 0
+    expansions = 0
+    # the start is the one move, None, of a stream from no parent
+    heap: list[tuple] = [(start.n, 0, (None, start, None), iter((None,)))]
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             return Verdict.LIMIT_EXCEEDED, visited, None
-        _, _, parent_key, d, m = heapq.heappop(heap)
+        size, expansion, parent, moves = heap[0]
+        parent_key, d, rows = parent
+        if callable(moves):
+            moves = moves(d, rows)
+            heap[0] = (size, expansion, parent, moves)
+        m = next(moves, _END)
+        if m is _END:
+            heapq.heappop(heap)
+            continue
         if m is not None:
-            d = mv.apply(d, m)
-        key = canonical_key(d)
+            d = mv.apply(d, m, rows)
+        rows = d.row_spans()
+        key = canonical_key(d, rows)
         if key in stored:
             continue
         stored[key] = (parent_key, m) if want_witness else None
         visited += 1
-        if key == target:
+        if key == _TARGET:
             witness = _build_witness(stored, start, key) if want_witness else None
             return Verdict.TRIVIAL, visited, witness
         if visited >= limits.max_states:
             return Verdict.LIMIT_EXCEEDED, visited, None
         if torus:
-            orbit = torus_key(d)
+            orbit = torus_key(d, rows)
             if orbit in orbits:
                 continue
             orbits.add(orbit)
@@ -200,11 +221,11 @@ def _search(
             if visited >= limits.max_states:
                 return Verdict.LIMIT_EXCEEDED, visited, None
             d = from_canonical_key(orbit)
-        for arc in mv.available_moves(d):
-            if arc.kind not in skip:
-                counter += 1
-                size = d.n - 1 if arc.kind in _MERGES else d.n
-                heapq.heappush(heap, (size, counter, key, d, arc))
+            rows = d.row_spans()
+        expansions += 1
+        parent = (key, d, rows)
+        heapq.heappush(heap, (d.n - 1, expansions, parent, mv.iter_merges))
+        heapq.heappush(heap, (d.n, expansions, parent, exchanges))
     return Verdict.NOT_TRIVIAL, visited, None
 
 

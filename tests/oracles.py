@@ -8,12 +8,22 @@ replaced with a pruned or cached one.
 
 from __future__ import annotations
 
+import heapq
+import time
 from itertools import combinations, product
 from typing import Callable
 
-from gridknot.grid import GridDiagram
+from gridknot import moves as mv
+from gridknot.grid import (
+    GridDiagram,
+    canonical_key,
+    from_canonical_key,
+    torus_key,
+    trivial_diagram,
+)
 from gridknot.planar import PlanarDiagram
 from gridknot.realize import SweepObstructionError
+from gridknot.simplify import SearchLimits, Verdict
 
 
 def naive_census(n: int) -> list[GridDiagram]:
@@ -247,3 +257,70 @@ def extract_cycles(cycles, moving_labels: dict, static_labels: dict) -> PlanarDi
         else:
             crossing_free += 1
     return PlanarDiagram(tuple(components), signs, crossing_free)
+
+
+_MERGES = (mv.MoveKind.INTERIOR_MERGE, mv.MoveKind.EXTERIOR_MERGE)
+
+
+def eager_search(
+    start: GridDiagram,
+    limits: SearchLimits,
+    include_exterior_exchange: bool,
+    want_witness: bool,
+) -> tuple[Verdict, int, tuple[mv.CromwellMove, ...] | None]:
+    """Reference monotone search that pushes one heap entry per arc.
+
+    Each expanded state lists all of `available_moves` and pushes every
+    merge and exchange as an arc (child size, counter, parent key, parent,
+    move); a child is built and keyed when its arc is popped.  Returns the
+    verdict, the keys stored, and the witness moves when one is wanted and
+    found.
+    """
+    target = canonical_key(trivial_diagram())
+    torus = include_exterior_exchange and not want_witness
+    skip = (mv.MoveKind.ROTATION,)
+    if not include_exterior_exchange:
+        skip += (mv.MoveKind.EXTERIOR_EXCHANGE,)
+    deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
+    stored: dict = {}
+    orbits: set[bytes] = set()
+    visited = 0
+    heap: list[tuple] = [(start.n, 0, None, start, None)]
+    counter = 0
+    while heap:
+        if deadline is not None and time.monotonic() > deadline:
+            return Verdict.LIMIT_EXCEEDED, visited, None
+        _, _, parent_key, d, m = heapq.heappop(heap)
+        if m is not None:
+            d = mv.apply(d, m)
+        key = canonical_key(d)
+        if key in stored:
+            continue
+        stored[key] = (parent_key, m)
+        visited += 1
+        if key == target:
+            if not want_witness:
+                return Verdict.TRIVIAL, visited, None
+            chain = []
+            parent_key, move = stored[key]
+            while parent_key is not None:
+                chain.append(move)
+                parent_key, move = stored[parent_key]
+            return Verdict.TRIVIAL, visited, tuple(reversed(chain))
+        if visited >= limits.max_states:
+            return Verdict.LIMIT_EXCEEDED, visited, None
+        if torus:
+            orbit = torus_key(d)
+            if orbit in orbits:
+                continue
+            orbits.add(orbit)
+            visited += 1
+            if visited >= limits.max_states:
+                return Verdict.LIMIT_EXCEEDED, visited, None
+            d = from_canonical_key(orbit)
+        for arc in mv.available_moves(d):
+            if arc.kind not in skip:
+                counter += 1
+                size = d.n - 1 if arc.kind in _MERGES else d.n
+                heapq.heappush(heap, (size, counter, key, d, arc))
+    return Verdict.NOT_TRIVIAL, visited, None

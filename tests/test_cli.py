@@ -223,6 +223,24 @@ def test_witness_merge_site_out_of_range_is_domain_error(capsys, tmp_path, kind,
     _replay_is_rejected(capsys, tmp_path, "--witness", {"start": start, "moves": [move]})
 
 
+# On the 3-grid 1-2 2-3 1-3: an exchange with no level, and a rotation
+# whose direction is neither high_to_low nor low_to_high but whose witness
+# ends at the 2x2 diagram if it is read as low_to_high.
+MALFORMED_SITES = (
+    [{"kind": "interior_exchange", "axis": "horizontal", "site": []}],
+    [
+        {"kind": "rotation", "axis": "horizontal", "site": ["sideways"]},
+        {"kind": "interior_merge", "axis": "horizontal", "site": [2]},
+    ],
+)
+
+
+@pytest.mark.parametrize("moves", MALFORMED_SITES)
+def test_witness_malformed_site_is_domain_error(capsys, tmp_path, moves):
+    start = {"n": 3, "columns": [[1, 2], [2, 3], [1, 3]]}
+    _replay_is_rejected(capsys, tmp_path, "--witness", {"start": start, "moves": moves})
+
+
 def test_census_checkpoint_mismatch_exit_code(capsys, tmp_path):
     ckpt = tmp_path / "census.ckpt"
     run(capsys, "census", "--n", "4", "--checkpoint", str(ckpt))

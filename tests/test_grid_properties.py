@@ -15,6 +15,7 @@ from gridknot.grid import (
     canonical_form,
     canonical_key,
     component_count,
+    extremal_diagram,
     from_canonical_key,
     grid_cycles,
     parse_grid,
@@ -68,6 +69,29 @@ def test_symmetry_group_laws(d):
 @given(grids())
 def test_canonical_key_decodes_to_canonical_form(d):
     assert from_canonical_key(canonical_key(d)) == canonical_form(d).diagram
+
+
+@st.composite
+def tied_grids(draw) -> GridDiagram:
+    """Grids whose first column is its own mirror image (a, n + 1 - a), so
+    the identity and flip_y images start with the same span: a drawn grid
+    with its rows relabelled, which keeps it valid."""
+    d = draw(grids())
+    n = d.n
+    a = draw(st.integers(1, n // 2))
+    lo, hi = d.columns[0]
+    others = iter(draw(st.permutations([r for r in range(1, n + 1) if r not in (a, n + 1 - a)])))
+    label = {r: next(others) for r in range(1, n + 1) if r not in (lo, hi)}
+    label[lo], label[hi] = a, n + 1 - a
+    return validate(n, [(label[x], label[y]) for x, y in d.columns])
+
+
+@PROPERTY
+@given(st.one_of(grids(), tied_grids(), st.builds(extremal_diagram, st.integers(2, 12))))
+def test_canonical_key_is_the_least_symmetry_image(d):
+    best = min(apply_symmetry(d, sym).columns for sym in SYMMETRIES)
+    assert canonical_key(d) == bytes([d.n, *(r for span in best for r in span)])
+    assert canonical_key(d, d.row_spans()) == canonical_key(d)
 
 
 def _torus_images(d: GridDiagram):

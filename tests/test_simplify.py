@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from gridknot.census import knot_determinant, verify_stuck_census
 from gridknot.grid import apply_symmetry, canonical_form, from_text, trivial_diagram, validate
 
 from conftest import knot_reps
+from oracles import eager_search
 
 # an 8-grid trefoil that a search with rotation arcs cannot exhaust in
 # 100,000 states; the witness search exhausts it at 15,330 states, and over
@@ -150,6 +152,56 @@ def test_torus_search_agrees_with_witness_search(n):
 )
 def test_torus_search_agrees_on_det_one_six_grids():
     _verdicts_agree([d for d in knot_reps(6) if knot_determinant(d) == 1])
+
+
+def _grown_knot(columns, plan_seed: int, shuffle: random.Random):
+    """A knot grown to a 7-grid by random divides, then moved by six random
+    exchanges or rotations."""
+    d = validate(len(columns), columns)
+    plan = random.Random(plan_seed)
+    while d.n < 7:
+        d = mv.apply(d, plan.choice(mv.all_divides(d)))
+    exchanges = (mv.MoveKind.INTERIOR_EXCHANGE, mv.MoveKind.EXTERIOR_EXCHANGE)
+    for _ in range(6):
+        options = [m for m in mv.available_moves(d) if m.kind in exchanges]
+        d = mv.apply(d, shuffle.choice(options + list(mv.ROTATIONS)))
+    return d
+
+
+def _grown_knots():
+    """The 5-grid trefoil and a 6-grid figure-eight grown to the 7-grids
+    that the nontrivial_exhaust benchmark workload searches on seed 1."""
+    shuffle = random.Random(1)
+    trefoil = ((1, 3), (2, 4), (3, 5), (1, 4), (2, 5))
+    figure_eight = ((1, 3), (2, 4), (3, 6), (1, 5), (4, 6), (2, 5))
+    return [_grown_knot(cols, i, shuffle) for i, cols in enumerate((trefoil, figure_eight))]
+
+
+CAPS = (1, 2, 5, 50, 5_000_000)
+
+
+def _searches_agree(d) -> None:
+    for exterior in (True, False):
+        for want_witness in (True, False):
+            for cap in CAPS:
+                limits = sp.SearchLimits(max_states=cap)
+                verdict, visited, witness = sp._search(d, limits, exterior, want_witness)
+                moves = witness.moves if witness else None
+                assert (verdict, visited, moves) == eager_search(d, limits, exterior, want_witness), (
+                    d, exterior, want_witness, cap
+                )
+
+
+def test_arc_streams_match_the_eager_search_on_scrambles():
+    for seed in range(300):
+        _searches_agree(sp.scramble(seed, seed % 21))
+
+
+def test_arc_streams_match_the_eager_search_on_exhausted_knots(stuck8):
+    knots = _grown_knots()
+    assert [knot_determinant(d) for d in knots] == [3, 5]
+    for d in [*knots, stuck8]:
+        _searches_agree(d)
 
 
 def test_needs_exterior_examples(stuck8):
