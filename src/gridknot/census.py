@@ -19,19 +19,21 @@ and n) or their reflections (a, b) -> (n+1-b, n+1-a), so if column 1 is
 lie in the window [L, n+1-L].  Rows 1 and n are used only there, the last
 column must be such an edge, and a leaf is compared with its seven other
 images span by span with an early exit; its orbit size is 8 / (1 + tied
-images).  Work is split by first span, lo + hi <= n + 1; subtrees share no
-state, so any job count gives the same result.  Every census filter is
-invariant under the eight symmetries, so raw counts are orbit-size sums.
+images).  Work is split by first span, lo + hi <= n + 1, and a checkpoint
+logs each finished subtree.  Every census filter is invariant under the
+eight symmetries, so raw counts are orbit-size sums.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import moves as mv
 from .grid import (
@@ -57,11 +59,11 @@ from .simplify import (
     needs_exterior,
 )
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointMismatchError(GridError):
-    """A census checkpoint was written for another size, filter or format."""
+    """A census checkpoint is for another size, filter or format, or fails a check."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,58 +223,65 @@ def _first_spans(n: int, stuck: bool) -> list[Span]:
     return [(lo, hi) for lo, hi in _tables(n, stuck)[0] if lo + hi <= n + 1]
 
 
-def _is_minimal_rep(d: GridDiagram) -> bool:
-    return canonical_key(d)[1:] == bytes(b for span in d.columns for b in span)
+def _resume(checkpoint: str, header: str, n: int, stuck: bool) -> dict[Span, list[tuple]]:
+    """The finished subtrees of a checkpoint log, by first span, each with
+    its orbits as (columns, orbit size).
 
-
-def _worker_task(args: tuple) -> dict:
-    """One first-column subtree: the sum of its orbit sizes, and its
-    representatives with their orbit sizes (knots only under knots_only)."""
-    n, filt, first_span = args
-    reps = _subtree(n, filt.stuck_only, first_span)
-    raw = sum(orbit for _, orbit in reps)
-    if filt.knots_only:
-        reps = [rep for rep in reps if component_count(GridDiagram(n, rep[0])) == 1]
-    return {"raw": raw, "reps": reps}
-
-
-def _resume(checkpoint: str, n: int, filt: CensusFilter) -> tuple[set[Span], int, list[tuple]]:
-    """A checkpoint's finished subtrees, raw count and representatives with
-    their orbit sizes.  It is refused unless this version wrote it for this
-    size and filter, and every stored representative is a canonical size-n
-    diagram (a knot under knots_only) from a finished subtree, stored once."""
-    with open(checkpoint) as fh:
-        state = json.load(fh)
-    filt_obj = dataclasses.asdict(filt)
-    written = (state.get("version"), state.get("n"), state.get("filter"))
-    if written != (CHECKPOINT_VERSION, n, filt_obj):
+    Every whole line is checked first.  The header must be this run's; each
+    record's first span one of this census's, recorded once; each key the
+    canonical key of a size-n diagram in the record's subtree, stored once;
+    and its raw count the sum of the orbit sizes.  Otherwise the file is
+    refused and left as it is.  A last line without its newline is an append
+    that never finished: it is then cut off, and its subtree runs again.
+    """
+    with open(checkpoint, "rb") as fh:
+        data = fh.read()
+    if not data:  # stopped before the header was written
+        return {}
+    lines = data.split(b"\n")  # the last item is b"" unless an append was cut
+    if lines[0] != header.encode():
         raise CheckpointMismatchError(
-            f"checkpoint {checkpoint} was written as version {written[0]!r} for "
-            f"n={written[1]!r}, filter {written[2]!r}; this run writes version "
-            f"{CHECKPOINT_VERSION} for n={n}, filter {filt_obj!r}"
+            f"checkpoint {checkpoint} starts with {lines[0][:100]!r}; this run writes {header}"
         )
-    done = {tuple(s) for s in state["done"]}
-    reps = {}
-    for d in (validate(n, cols) for cols in state["reps"]):
-        knot = not filt.knots_only or component_count(d) == 1
-        if d.columns in reps or d.columns[0] not in done or not (knot and _is_minimal_rep(d)):
-            raise CheckpointMismatchError(f"{checkpoint} may not hold {d.columns}")
-        reps[d.columns] = canonical_form(d).orbit_size
-    sums = filt.knots_only or state["raw"] == sum(reps.values())
-    if not sums or not done <= set(_first_spans(n, filt.stuck_only)):
-        raise CheckpointMismatchError(f"{checkpoint}: the finished subtrees do not add up")
-    return done, state["raw"], list(reps.items())
+    spans = set(_first_spans(n, stuck))
+    done: dict[Span, list[tuple]] = {}
+    for number, line in enumerate(lines[1:-1], start=2):
+        where = f"{checkpoint} line {number}"
+        try:
+            record = json.loads(line)
+            first, raw = tuple(record["first"]), record["raw"]
+            keys = [bytes.fromhex(key) for key in record["orbits"]]
+            # a cut or padded key fails the comparison with its canonical key
+            diagrams = [validate(n, list(zip(key[1::2], key[2::2]))) for key in keys]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise CheckpointMismatchError(f"{where} is not a subtree record: {exc}") from None
+        if first not in spans or first in done:
+            raise CheckpointMismatchError(f"{where}: {first} is not an unfinished first span")
+        orbits = {}
+        for key, d in zip(keys, diagrams):
+            if canonical_key(d) != key or d.columns[0] != first or d.columns in orbits:
+                raise CheckpointMismatchError(f"{where} may not hold {d.columns}")
+            orbits[d.columns] = canonical_form(d).orbit_size
+        if raw != sum(orbits.values()):
+            raise CheckpointMismatchError(f"{where}: raw count {raw!r} does not add up")
+        done[first] = list(orbits.items())
+    if lines[-1]:
+        with open(checkpoint, "r+b") as fh:
+            fh.truncate(len(data) - len(lines[-1]))
+    return done
 
 
 def enumerate_diagrams(
     n: int,
     filt: CensusFilter | None = None,
-    jobs: int = 1,
     checkpoint: str | None = None,
     limits: SearchLimits | None = None,
 ) -> CensusResult:
     """Census at size n.  Exactly one canonical representative per orbit is
     kept, in sorted order; raw counts cover every diagram enumerated.
+
+    With a checkpoint, each finished subtree appends one line: its first
+    span, raw count and the canonical keys of all its orbits, links too.
 
     Knot and triviality filters are decided once per orbit on the canonical
     representative (both are orbit invariants) and raw counts for them are
@@ -281,57 +290,40 @@ def enumerate_diagrams(
     if not isinstance(n, int) or n < 2:
         raise SizeError(f"census size must be an integer >= 2, got {n!r}")
     filt = filt or CensusFilter()
+    stuck = filt.stuck_only
     start_time = time.monotonic()
-    done_spans, raw, rep_cols = set(), 0, []  # rep_cols holds (columns, orbit size)
+    header = json.dumps({"version": CHECKPOINT_VERSION, "n": n, "filter": dataclasses.asdict(filt)})
+    done = {}
     if checkpoint and os.path.exists(checkpoint):
-        done_spans, raw, rep_cols = _resume(checkpoint, n, filt)
-    pending = [(n, filt, s) for s in _first_spans(n, filt.stuck_only) if s not in done_spans]
-
-    def record(task: tuple, tall: dict) -> None:
-        """Credit one finished subtree."""
-        nonlocal raw
-        raw += tall["raw"]
-        rep_cols.extend(tall["reps"])
-        done_spans.add(task[2])
-        if not checkpoint:
-            return
-        state = {
-            "version": CHECKPOINT_VERSION,
-            "n": n,
-            "filter": dataclasses.asdict(filt),
-            "done": sorted(done_spans),
-            "raw": raw,
-            "reps": [[list(p) for p in cols] for cols, _ in rep_cols],
-        }
-        tmp = checkpoint + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(state))
-        os.replace(tmp, checkpoint)
-
-    workers = jobs if jobs > 1 and len(pending) > 1 else 1
-    if workers > 1:
-        import multiprocessing  # about 1 MB of memory, paid only by a pool
-
-        with multiprocessing.Pool(workers) as pool:
-            for task, tall in zip(pending, pool.imap(_worker_task, pending)):
-                record(task, tall)
-    else:
-        for task in pending:
-            record(task, _worker_task(task))
-
-    result = CensusResult(n=n, raw_count=raw)
-    for cols, orbit in sorted(rep_cols):
-        d = GridDiagram(n, cols)
-        is_knot = filt.knots_only or component_count(d) == 1
-        if is_knot:
-            result.knot_count += orbit
-            result.stuck_count += orbit if filt.stuck_only else 0
-        if filt.trivial_only:
-            if not is_knot or not _proves_trivial(d, limits):
-                continue
-            if filt.stuck_only:
-                result.trivial_stuck_count += orbit
-        result.representatives.append(d)
+        done = _resume(checkpoint, header, n, stuck)
+    result = CensusResult(n=n)
+    with open(checkpoint, "a") if checkpoint else contextlib.nullcontext() as log:
+        if log and log.tell() == 0:
+            log.write(header + "\n")
+        for first_span in _first_spans(n, stuck):
+            orbits = done.pop(first_span, None)
+            if orbits is None:
+                orbits = _subtree(n, stuck, first_span)
+                if log:
+                    raw = sum(orbit for _, orbit in orbits)
+                    keys = [bytes([n, *chain(*cols)]).hex() for cols, _ in orbits]
+                    log.write(json.dumps({"first": first_span, "raw": raw, "orbits": keys}) + "\n")
+                    log.flush()
+            # first spans come in sorted order, so sorting each subtree sorts all
+            for cols, orbit in sorted(orbits):
+                result.raw_count += orbit
+                d = GridDiagram(n, cols)
+                if component_count(d) == 1:
+                    result.knot_count += orbit
+                    result.stuck_count += orbit if stuck else 0
+                elif filt.knots_only or filt.trivial_only:
+                    continue
+                if filt.trivial_only:
+                    if not _proves_trivial(d, limits):
+                        continue
+                    if stuck:
+                        result.trivial_stuck_count += orbit
+                result.representatives.append(d)
     result.orbit_count = len(result.representatives)
     result.elapsed_s = time.monotonic() - start_time
     return result
@@ -458,10 +450,16 @@ def verify_stuck_census(
     For n <= 7 the expected outcome is an empty trivial set; at n = 8 the
     set is nonempty and every member admits both exterior exchanges and
     cannot be simplified without one.
+
+    The census runs in one process.  `jobs` is kept only because callers
+    written for the old process pool, such as `perfbench/workloads.py`, pass
+    jobs=1; any other value raises ValueError.
     """
+    if jobs != 1:
+        raise ValueError(f"the census runs in one process; jobs must be 1, got {jobs!r}")
     start = time.monotonic()
     filt = CensusFilter(knots_only=True, stuck_only=True)
-    res = enumerate_diagrams(n, filt, jobs=jobs, checkpoint=checkpoint, limits=limits)
+    res = enumerate_diagrams(n, filt, checkpoint=checkpoint, limits=limits)
     trivial = [d for d in res.representatives if _proves_trivial(d, limits)]
     both = {mv.Axis.HORIZONTAL, mv.Axis.VERTICAL}
     return StuckCensusReport(
@@ -487,7 +485,7 @@ def _only_exterior_horizontal_image(d: GridDiagram) -> GridDiagram | None:
 
 
 def find_only_exterior_horizontal(
-    n: int = 9, jobs: int = 1, limits: SearchLimits | None = None, checkpoint: str | None = None
+    n: int = 9, limits: SearchLimits | None = None, checkpoint: str | None = None
 ) -> GridDiagram | None:
     """Search for a trivial knot diagram admitting no merge, no vertical
     exchange at all, no interior horizontal exchange, and admitting the
@@ -495,7 +493,7 @@ def find_only_exterior_horizontal(
     depends on its image, so every image of each stuck knot orbit is tried;
     returns the first that qualifies, or None."""
     filt = CensusFilter(knots_only=True, stuck_only=True)
-    res = enumerate_diagrams(n, filt, jobs=jobs, checkpoint=checkpoint, limits=limits)
+    res = enumerate_diagrams(n, filt, checkpoint=checkpoint, limits=limits)
     for d in res.representatives:
         image = _only_exterior_horizontal_image(d)
         if image is not None and _proves_trivial(image, limits):

@@ -89,9 +89,7 @@ def cmd_census(args) -> dict:
         stuck_only=args.stuck,
         trivial_only=args.trivial,
     )
-    res = census_mod.enumerate_diagrams(
-        args.n, filt, jobs=args.jobs, checkpoint=args.checkpoint, limits=_limits(args)
-    )
+    res = census_mod.enumerate_diagrams(args.n, filt, checkpoint=args.checkpoint, limits=_limits(args))
     if args.out:
         with open(args.out, "w") as fh:
             for d in res.representatives:
@@ -175,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS,
                         help="indent JSON output")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     common.add_argument("--limit-states", type=int, default=argparse.SUPPRESS)
     common.add_argument("--limit-seconds", type=float, default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
@@ -260,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for name, default in (
-        ("pretty", False), ("seed", None), ("jobs", 1),
+        ("pretty", False), ("seed", None),
         ("limit_states", None), ("limit_seconds", None),
     ):
         if not hasattr(args, name):

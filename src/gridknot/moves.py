@@ -316,11 +316,10 @@ def _relink(
     """The size and links after m, on the (edges, links) pair of m.axis.
 
     `rows` is d.row_spans(), or None for a rotation, which needs no edges.
-    Error messages name rows and columns as for a horizontal move, whatever
-    the axis.
     """
     n = d.n
     edges, links = _axis_pair(d, m.axis, rows)
+    edge_name, link_name = ("row", "column") if m.axis is Axis.HORIZONTAL else ("column", "row")
     kind = m.kind
     if kind in (MoveKind.INTERIOR_EXCHANGE, MoveKind.EXTERIOR_EXCHANGE):
         if kind is MoveKind.INTERIOR_EXCHANGE:
@@ -332,7 +331,7 @@ def _relink(
             lo, hi = 1, n
         if not _exchangeable(edges[lo - 1], edges[hi - 1]):
             raise InapplicableMoveError(
-                f"rows {lo} and {hi} are {interleaved(edges[lo - 1], edges[hi - 1]).value}"
+                f"{edge_name}s {lo} and {hi} are {interleaved(edges[lo - 1], edges[hi - 1]).value}"
             )
         table = list(range(n + 1))
         table[lo], table[hi] = hi, lo
@@ -352,12 +351,12 @@ def _relink(
         lo, hi = links[i - 1]
         if kind is MoveKind.INTERIOR_MERGE:
             if hi - lo != 1:
-                raise InapplicableMoveError(f"column {i} has length {hi - lo}, not 1")
+                raise InapplicableMoveError(f"{link_name} {i} has length {hi - lo}, not 1")
             # the merged edge keeps the connector's low level
             table = [*range(hi), *range(lo, n)]
         else:
             if (lo, hi) != (1, n):
-                raise InapplicableMoveError(f"column {i} does not span rows 1..{n}")
+                raise InapplicableMoveError(f"{link_name} {i} does not span {edge_name}s 1..{n}")
             # the merged edge goes to the placement's extreme level
             if m.site[1] == LOW:
                 table = [0, 1, *range(2, n), 1]
@@ -369,7 +368,7 @@ def _relink(
     if kind is MoveKind.DIVIDE:
         edge, pos, first_low, exterior = m.site
         if not 1 <= edge <= n:
-            raise InapplicableMoveError(f"row {edge} out of range")
+            raise InapplicableMoveError(f"{edge_name} {edge} out of range")
         if not 1 <= pos <= n + 1:
             raise InapplicableMoveError(f"insert position {pos} out of range")
         a, b = edges[edge - 1]

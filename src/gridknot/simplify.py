@@ -261,8 +261,9 @@ def is_trivial(
     that max_states caps: the states it reached, one per dihedral class,
     plus, with want_witness=False, the torus orbits it expanded.
     """
-    if component_count(d) != 1:
-        raise NotAKnotError(f"diagram has {component_count(d)} components")
+    components = component_count(d)
+    if components != 1:
+        raise NotAKnotError(f"diagram has {components} components")
     limits = limits or SearchLimits()
     verdict, visited, witness = _search(
         d, limits, include_exterior_exchange=True, want_witness=want_witness

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,7 +9,6 @@ from gridknot import census as cs
 from gridknot import moves as mv
 from gridknot.grid import (
     GridDiagram,
-    GridError,
     canonical_form,
     canonical_key,
     component_count,
@@ -245,7 +245,8 @@ def test_census_checkpoint_rejects_other_size(tmp_path):
 
 
 def test_census_checkpoint_rejects_old_format(tmp_path):
-    # a first-format checkpoint: no version, and done subtrees counted alone
+    # versions 1 to 3 were one JSON object, rewritten whole after each
+    # subtree; version 1 had no version field at all
     ckpt = tmp_path / "census.ckpt"
     filt = cs.CensusFilter(stuck_only=True)
     old = {
@@ -255,33 +256,50 @@ def test_census_checkpoint_rejects_old_format(tmp_path):
         "raw": 4,
         "reps": [],
     }
-    ckpt.write_text(json.dumps(old))
-    before = ckpt.read_bytes()
-    with pytest.raises(cs.CheckpointMismatchError, match="version"):
-        cs.enumerate_diagrams(6, filt, checkpoint=str(ckpt))
-    assert ckpt.read_bytes() == before
-    # version 2 credited a subtree twice its own raw count for its mirror
-    for version in (1, 2):
-        ckpt.write_text(json.dumps({**old, "version": version}))
+    for state in (old, *({**old, "version": v} for v in (1, 2, 3))):
+        ckpt.write_text(json.dumps(state))
+        before = ckpt.read_bytes()
         with pytest.raises(cs.CheckpointMismatchError, match="version"):
             cs.enumerate_diagrams(6, filt, checkpoint=str(ckpt))
+        assert ckpt.read_bytes() == before
 
 
-def _tampered_states():
+def _key(cols):
+    return bytes([len(cols), *(r for span in cols for r in span)]).hex()
+
+
+def _tampered_records():
     # a partial n = 5 checkpoint: the subtree of first span (1, 2) alone
-    reps = [[list(s) for s in d.columns] for d in cs.enumerate_diagrams(5).representatives]
-    own = [cols for cols in reps if cols[0] == [1, 2]]
-    other = next(cols for cols in reps if cols[0] != [1, 2])
+    reps = cs.enumerate_diagrams(5).representatives
+    own = [d.columns for d in reps if d.columns[0] == (1, 2)]
+    other = next(d.columns for d in reps if d.columns[0] != (1, 2))
     raw = []
     raw_subtree(5, False, (1, 2), raw.append)
     image = next(d for d in raw if canonical_form(d).diagram != d)
-    return own, {
-        "not canonical": own[:-1] + [[list(s) for s in image.columns]],
-        "stored twice": own + own[:1],
-        "subtree not done": own + [other],
-        "not a diagram": own[:-1] + [[[1, 2]] * 5],
-        "raw does not add up": own[1:],
+    record = {
+        "first": [1, 2],
+        "raw": sum(canonical_form(GridDiagram(5, cols)).orbit_size for cols in own),
+        "orbits": [_key(cols) for cols in own],
     }
+    keys = record["orbits"]
+    return record, {
+        "not canonical": [{**record, "orbits": keys[:-1] + [_key(image.columns)]}],
+        "stored twice": [{**record, "orbits": keys + keys[:1]}],
+        "subtree not done": [{**record, "orbits": keys + [_key(other)]}],
+        "not a diagram": [{**record, "orbits": keys[:-1] + [_key([(1, 2)] * 5)]}],
+        "raw does not add up": [{**record, "orbits": keys[1:]}],
+        "raw raised": [{**record, "raw": record["raw"] + 1000}],
+        "not a first span": [{**record, "first": [2, 5]}],
+        "recorded twice": [record, record],
+        "key of another size": [{**record, "orbits": keys + [_key([(1, 2), (1, 2)])]}],
+        "key not hex": [{**record, "orbits": keys + ["zz"]}],
+        "no raw count": [{"first": [1, 2], "orbits": keys}],
+    }
+
+
+def _log(n, filt, records):
+    header = {"version": cs.CHECKPOINT_VERSION, "n": n, "filter": dataclasses.asdict(filt)}
+    return "".join(json.dumps(line) + "\n" for line in [header, *records])
 
 
 @pytest.mark.parametrize(
@@ -292,63 +310,114 @@ def _tampered_states():
         ("subtree not done", "may not hold"),
         ("not a diagram", "used 5 times"),
         ("raw does not add up", "add up"),
+        ("raw raised", "add up"),
+        ("not a first span", "not an unfinished first span"),
+        ("recorded twice", "not an unfinished first span"),
+        ("key of another size", "expected 5 columns"),
+        ("key not hex", "not a subtree record"),
+        ("no raw count", "not a subtree record"),
     ],
 )
 def test_census_checkpoint_rejects_tampered_state(tmp_path, case, match):
-    own, tampered = _tampered_states()
+    record, tampered = _tampered_records()
     ckpt = tmp_path / "census.ckpt"
-    good = {
-        "version": cs.CHECKPOINT_VERSION,
-        "n": 5,
-        "filter": {"knots_only": False, "stuck_only": False, "trivial_only": False},
-        "done": [[1, 2]],
-        "raw": sum(canonical_form(GridDiagram(5, tuple(map(tuple, c)))).orbit_size for c in own),
-    }
-    ckpt.write_text(json.dumps({**good, "reps": own}))
+    filt = cs.CensusFilter()
+    ckpt.write_text(_log(5, filt, [record]))
     assert cs.enumerate_diagrams(5, checkpoint=str(ckpt)).raw_count == RAW_COUNTS[5]
-    ckpt.write_text(json.dumps({**good, "reps": tampered[case]}))
+    ckpt.write_text(_log(5, filt, tampered[case]))
     before = ckpt.read_bytes()
-    with pytest.raises(GridError, match=match):
+    with pytest.raises(cs.CheckpointMismatchError, match=match):
         cs.enumerate_diagrams(5, checkpoint=str(ckpt))
     assert ckpt.read_bytes() == before
 
 
-def test_knot_filter_checkpoint_holds_knots_only(tmp_path):
+STUCK_KNOTS = cs.CensusFilter(knots_only=True, stuck_only=True)
+
+
+@pytest.fixture(scope="module")
+def stuck_eight_log(tmp_path_factory):
+    """The n = 8 stuck knot census and the lines of its complete checkpoint."""
+    ckpt = tmp_path_factory.mktemp("ckpt") / "census.ckpt"
+    res = cs.enumerate_diagrams(8, STUCK_KNOTS, checkpoint=str(ckpt))
+    return res, ckpt.read_bytes().splitlines(keepends=True)
+
+
+def _same_census(a, b):
+    return (a.summary() | {"elapsed_s": 0}, a.representatives) == (
+        b.summary() | {"elapsed_s": 0},
+        b.representatives,
+    )
+
+
+def test_knot_filter_checkpoint_refuses_a_raised_raw_count(tmp_path, stuck_eight_log):
+    full, lines = stuck_eight_log
+    # every orbit is recorded, links too, so every raw count can be checked
+    records = [json.loads(line) for line in lines[1:]]
+    assert sum(len(r["orbits"]) for r in records) == GOLDEN[8, True][1] > full.orbit_count
+    assert sum(r["raw"] for r in records) == full.raw_count == 3_276
     ckpt = tmp_path / "census.ckpt"
-    filt = cs.CensusFilter(knots_only=True)
-    res = cs.enumerate_diagrams(5, filt, checkpoint=str(ckpt))
-    state = json.loads(ckpt.read_text())
-    stored = [validate(5, cols) for cols in state["reps"]]
-    assert len(stored) == res.orbit_count and all(component_count(d) == 1 for d in stored)
-    assert state["raw"] == res.raw_count == RAW_COUNTS[5]
-    # a link smuggled into the same checkpoint is refused
-    link = next(d for d in cs.enumerate_diagrams(5).representatives if component_count(d) > 1)
-    ckpt.write_text(json.dumps({**state, "reps": state["reps"] + [list(map(list, link.columns))]}))
-    with pytest.raises(cs.CheckpointMismatchError, match="may not hold"):
-        cs.enumerate_diagrams(5, filt, checkpoint=str(ckpt))
+    raised = {**records[0], "raw": records[0]["raw"] + 1000}
+    ckpt.write_bytes(b"".join([lines[0], json.dumps(raised).encode() + b"\n", *lines[2:]]))
+    before = ckpt.read_bytes()
+    with pytest.raises(cs.CheckpointMismatchError, match="add up"):
+        cs.enumerate_diagrams(8, STUCK_KNOTS, checkpoint=str(ckpt))
+    assert ckpt.read_bytes() == before
+
+
+@pytest.mark.parametrize("k", (0, 1, 5, 11))
+def test_census_checkpoint_resumes_from_k_records(tmp_path, stuck_eight_log, k):
+    full, lines = stuck_eight_log
+    assert len(lines) == 12  # the header and 11 first spans
+    ckpt = tmp_path / "census.ckpt"
+    ckpt.write_bytes(b"".join(lines[: 1 + k]))
+    assert _same_census(cs.enumerate_diagrams(8, STUCK_KNOTS, checkpoint=str(ckpt)), full)
+    assert ckpt.read_bytes() == b"".join(lines)
+
+
+@pytest.mark.parametrize("k", (0, 3))
+def test_census_checkpoint_cuts_an_unfinished_last_line(tmp_path, stuck_eight_log, k):
+    full, lines = stuck_eight_log
+    ckpt = tmp_path / "census.ckpt"
+    cut = lines[1 + k][: len(lines[1 + k]) // 2]
+    # a tampered whole line is refused even when the last line is cut
+    bad = json.dumps({**json.loads(lines[1]), "raw": 0}).encode() + b"\n"
+    ckpt.write_bytes(b"".join([lines[0], bad, *lines[2 : 1 + k], cut]))
+    before = ckpt.read_bytes()
+    with pytest.raises(cs.CheckpointMismatchError):
+        cs.enumerate_diagrams(8, STUCK_KNOTS, checkpoint=str(ckpt))
+    assert ckpt.read_bytes() == before
+    ckpt.write_bytes(b"".join([*lines[: 1 + k], cut]))
+    assert _same_census(cs.enumerate_diagrams(8, STUCK_KNOTS, checkpoint=str(ckpt)), full)
+    assert ckpt.read_bytes() == b"".join(lines)
+
+
+def test_census_checkpoint_empty_file_starts_afresh(tmp_path, stuck_eight_log):
+    # a run stopped before its header reached the file leaves it empty
+    full, lines = stuck_eight_log
+    ckpt = tmp_path / "census.ckpt"
+    ckpt.write_bytes(b"")
+    assert _same_census(cs.enumerate_diagrams(8, STUCK_KNOTS, checkpoint=str(ckpt)), full)
+    assert ckpt.read_bytes() == b"".join(lines)
 
 
 def test_census_checkpoint_records_version(tmp_path):
     ckpt = tmp_path / "census.ckpt"
     cs.enumerate_diagrams(5, cs.CensusFilter(stuck_only=True), checkpoint=str(ckpt))
-    assert json.loads(ckpt.read_text())["version"] == cs.CHECKPOINT_VERSION == 3
+    header = json.loads(ckpt.read_text().splitlines()[0])
+    assert header["version"] == cs.CHECKPOINT_VERSION == 4
 
 
 def test_census_checkpoint_bytes_pinned(tmp_path):
-    # the whole state, written after the last subtree of the n = 6 stuck census
+    # the header and one line per first-column subtree of the n = 6 stuck census
     ckpt = tmp_path / "census.ckpt"
     cs.enumerate_diagrams(6, cs.CensusFilter(stuck_only=True), checkpoint=str(ckpt))
     digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
-    assert digest == "5a584f60377cd9d978cae9689f284875516d2482bcc4328eb6d24f0cb8c5d959"
+    assert digest == "85c4ba18b25b79d2881dda92ff98bc8e254c251326d8c1bbe9368c8925352746"
 
 
-def test_census_jobs_deterministic():
-    one = cs.enumerate_diagrams(5, jobs=1)
-    many = cs.enumerate_diagrams(5, jobs=2)
-    assert one.raw_count == many.raw_count
-    assert [d.columns for d in one.representatives] == [
-        d.columns for d in many.representatives
-    ]
+def test_verify_stuck_census_refuses_other_job_counts():
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        cs.verify_stuck_census(5, jobs=2)
 
 
 def _exterior_axes(d):

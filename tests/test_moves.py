@@ -191,8 +191,9 @@ def _move_layer_record(d, k: int) -> bytes:
 
 
 # SHA-256 of the move layer's outputs (`_move_layer_record`) over every
-# n <= 5 census representative, links included, and 300 scrambles.
-MOVE_LAYER_DIGEST = "cb47ea1676b6db416466384b24efa6a770279c7582e7171c0ece90af064d093d"
+# n <= 5 census representative, links included, and 300 scrambles.  Re-pinned
+# when vertical merge and divide errors began to name rows as rows.
+MOVE_LAYER_DIGEST = "aa7f74a90b992639825ef5ef19fe7ccaa3690380801d2209d05c24ca576352f2"
 
 
 def test_move_layer_golden_digest():
@@ -202,3 +203,23 @@ def test_move_layer_golden_digest():
     for k, d in enumerate(diagrams):
         h.update(_move_layer_record(d, k))
     assert h.hexdigest() == MOVE_LAYER_DIGEST
+
+
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        (mv.interior_exchange(Axis.VERTICAL, 1), "columns 1 and 2 are interleaved"),
+        (mv.exterior_exchange(Axis.VERTICAL), "columns 1 and 4 are shared_endpoint"),
+        (mv.interior_merge(Axis.VERTICAL, 1), "row 1 has length 2, not 1"),
+        (mv.exterior_merge(Axis.VERTICAL, 2, mv.HIGH), "row 2 does not span columns 1..4"),
+        (mv.divide(Axis.VERTICAL, 5, 1, True), "column 5 out of range"),
+        (mv.interior_merge(Axis.HORIZONTAL, 1), "column 1 has length 2, not 1"),
+        (mv.divide(Axis.HORIZONTAL, 5, 1, True), "row 5 out of range"),
+    ],
+)
+def test_inapplicable_move_errors_name_the_axis_edges(move, message):
+    # a vertical move's edges are columns and its connectors rows
+    d = validate(4, [(1, 3), (2, 4), (1, 4), (2, 3)])
+    with pytest.raises(InapplicableMoveError) as exc:
+        mv.apply(d, move)
+    assert str(exc.value) == message
