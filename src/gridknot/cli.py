@@ -39,6 +39,16 @@ def _limits(args) -> simplify_mod.SearchLimits:
     return simplify_mod.SearchLimits(**kwargs)
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _parse_move(text: str) -> moves_mod.CromwellMove:
     return moves_mod.move_from_json_obj(json.loads(text))
 
@@ -197,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplify", help="decide unknottedness", parents=[common])
     p.add_argument("--grid")
-    p.add_argument("--steps", type=int, default=10, help="scramble steps when no grid given")
+    p.add_argument("--steps", type=_nonnegative_int, default=10, help="scramble steps when no grid given")
     p.add_argument("--check-exterior", action="store_true")
     p.add_argument("--witness-out")
     p.set_defaults(fn=cmd_simplify)

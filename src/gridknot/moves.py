@@ -13,7 +13,9 @@ Move conventions:
   always available.  ``high_to_low`` moves the top edge to the bottom
   (horizontal axis) or the rightmost column to the left (vertical axis).
 * Divide moves are the inverses of merges.  They are parameterized and are
-  listed by :func:`available_moves` only on request.
+  listed by :func:`available_moves` only on request.  :func:`all_divides`
+  is an indexed view of them in one fixed order: it decodes a divide from
+  its index without building the others, so a random draw costs O(1).
 
 One kernel serves both axes.  A move acts on its axis's pair (edges, links):
 for a horizontal move the edges are the row spans and the links are the
@@ -27,10 +29,11 @@ only reorders the stored columns, so it permutes them directly instead.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterable, Iterator
 
 from .grid import GridDiagram, Span, apply_symmetry
 
@@ -285,20 +288,45 @@ def available_moves(d: GridDiagram, include_divides: bool = False) -> list[Cromw
     return out
 
 
-def all_divides(d: GridDiagram) -> list[CromwellMove]:
-    """Every divide move on d (interior on any edge, exterior on extremes)."""
-    n = d.n
-    out: list[CromwellMove] = []
-    for axis in (Axis.HORIZONTAL, Axis.VERTICAL):
-        for edge in range(1, n + 1):
-            for pos in range(1, n + 2):
-                for first_low in (True, False):
-                    out.append(divide(axis, edge, pos, first_low, exterior=False))
-        for edge in (1, n):
-            for pos in range(1, n + 2):
-                for first_low in (True, False):
-                    out.append(divide(axis, edge, pos, first_low, exterior=True))
-    return out
+def all_divides(d: GridDiagram) -> Sequence[CromwellMove]:
+    """Every divide move on d, as an indexed view built in constant time.
+
+    The view holds 4(n+1)(n+2) moves, listed by axis (horizontal first),
+    then edge (the n interior edges 1..n, then the exterior edges 1 and n),
+    then insert position 1..n+1, then ``first_low`` True before False.
+    Indexing decodes one move without building the others, so a random
+    draw such as ``rng.choice(all_divides(d))`` costs O(1).
+    """
+    return _Divides(d.n)
+
+
+class _Divides(Sequence):
+    """The divides of an n-grid in `all_divides` order, decoded on demand
+    from an integer index (no slices)."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __len__(self) -> int:
+        return 4 * (self.n + 1) * (self.n + 2)
+
+    def __getitem__(self, index: int) -> CromwellMove:
+        i = operator.index(index)
+        size = len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("divide index out of range")
+        n = self.n
+        axis, i = divmod(i, size // 2)
+        i, flag = divmod(i, 2)
+        slot, pos = divmod(i, n + 1)
+        # slots 0..n-1 are the interior edges, n and n+1 the exterior edges 1 and n
+        exterior = slot >= n
+        edge = (1 if slot == n else n) if exterior else slot + 1
+        return divide(Axis.VERTICAL if axis else Axis.HORIZONTAL, edge, pos + 1, flag == 0, exterior)
 
 
 def _relabel(links: list[Span] | tuple[Span, ...], table: list[int]) -> list[Span]:

@@ -316,24 +316,29 @@ def scramble(seed: int, steps: int) -> GridDiagram:
     """A pseudorandom trivial-knot diagram: `steps` random divides,
     exchanges and rotations applied to the 2x2 diagram.
 
-    Divides are drawn with probability 0.4 per step so the expected grid
-    size stays moderate; the output is reproducible for a fixed seed.
+    Each step draws r = rng.random(), then one `rng.choice`.  With r < 0.4
+    it picks a divide from the O(1) view `moves.all_divides`, so the
+    expected grid size stays moderate.  In the next 0.8 of the remaining
+    mass it lists the exchanges and picks one, or a rotation when there is
+    none; otherwise it picks a rotation.  The output is reproducible for a
+    fixed seed.  Raises ValueError when steps < 0.
     """
+    if steps < 0:
+        raise ValueError(f"scramble steps must be nonnegative, got {steps}")
     rng = random.Random(seed)
     d = trivial_diagram()
     for _ in range(steps):
         r = rng.random()
         if r < _SCRAMBLE_GROW:
             choice = rng.choice(mv.all_divides(d))
+        elif (r - _SCRAMBLE_GROW) / (1 - _SCRAMBLE_GROW) >= _SCRAMBLE_EXCHANGE:
+            choice = rng.choice(mv.ROTATIONS)
         else:
             exchanges = [
                 m
                 for m in mv.available_moves(d)
                 if m.kind in (mv.MoveKind.INTERIOR_EXCHANGE, mv.MoveKind.EXTERIOR_EXCHANGE)
             ]
-            if exchanges and (r - _SCRAMBLE_GROW) / (1 - _SCRAMBLE_GROW) < _SCRAMBLE_EXCHANGE:
-                choice = rng.choice(exchanges)
-            else:
-                choice = rng.choice(mv.ROTATIONS)
+            choice = rng.choice(exchanges or mv.ROTATIONS)
         d = mv.apply(d, choice)
     return d

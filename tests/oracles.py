@@ -259,6 +259,22 @@ def extract_cycles(cycles, moving_labels: dict, static_labels: dict) -> PlanarDi
     return PlanarDiagram(tuple(components), signs, crossing_free)
 
 
+def eager_all_divides(n: int) -> list[mv.CromwellMove]:
+    """Every divide move on an n-grid, built by nested loops in the order
+    `moves.all_divides` lists them."""
+    out = []
+    for axis in (mv.Axis.HORIZONTAL, mv.Axis.VERTICAL):
+        for edge in range(1, n + 1):
+            for pos in range(1, n + 2):
+                for first_low in (True, False):
+                    out.append(mv.divide(axis, edge, pos, first_low, exterior=False))
+        for edge in (1, n):
+            for pos in range(1, n + 2):
+                for first_low in (True, False):
+                    out.append(mv.divide(axis, edge, pos, first_low, exterior=True))
+    return out
+
+
 _MERGES = (mv.MoveKind.INTERIOR_MERGE, mv.MoveKind.EXTERIOR_MERGE)
 
 

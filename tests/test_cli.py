@@ -6,6 +6,8 @@ from gridknot import cli, simplify
 from gridknot.census import verify_stuck_census
 from gridknot.grid import from_json_obj, to_json_obj, to_text, trivial_diagram
 
+from oracles import eager_all_divides
+
 
 @pytest.fixture
 def trivial_file(tmp_path):
@@ -50,6 +52,14 @@ def test_moves_listing(capsys, stuck8_file):
     assert kinds == {"exterior_exchange", "rotation"}
 
 
+def test_moves_listing_with_divides(capsys, stuck8_file):
+    listed = run(capsys, "moves", "--grid", stuck8_file, "--divides")["moves"]
+    plain = run(capsys, "moves", "--grid", stuck8_file)["moves"]
+    assert listed[: len(plain)] == plain
+    assert listed[len(plain):] == [m.to_json_obj() for m in eager_all_divides(8)]
+    assert len(listed) - len(plain) == 360
+
+
 def test_simplify_and_witness_replay(capsys, tmp_path, stuck8_file):
     wfile = str(tmp_path / "w.json")
     obj = run(capsys, "simplify", "--grid", stuck8_file, "--witness-out", wfile)
@@ -61,6 +71,13 @@ def test_simplify_and_witness_replay(capsys, tmp_path, stuck8_file):
 def test_simplify_scramble_mode(capsys):
     obj = run(capsys, "simplify", "--seed", "5", "--steps", "6")
     assert obj["verdict"] == "trivial"
+
+
+def test_simplify_negative_steps_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simplify", "--steps", "-3"])
+    assert exc.value.code == 2
+    assert "--steps: must be nonnegative" in capsys.readouterr().err
 
 
 def test_census_summary_and_out(capsys, tmp_path):

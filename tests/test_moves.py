@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from gridknot.moves import Axis, Interleaving, InapplicableMoveError, MoveKind, 
 from gridknot.simplify import scramble
 
 from conftest import census_reps
+from oracles import eager_all_divides
 
 
 def test_interleaved_classification():
@@ -96,6 +98,20 @@ def test_divide_inverse_round_trips():
         validate(bigger.n, bigger.columns)
         assert bigger.n == d.n + 1
         assert mv.apply(bigger, mv.inverse(dv, d)) == d
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_divide_view_matches_the_eager_listing(n):
+    view = mv.all_divides(extremal_diagram(n))
+    eager = eager_all_divides(n)
+    assert len(view) == len(eager) == 4 * (n + 1) * (n + 2)
+    assert list(view) == eager
+    assert view[-1] == eager[-1]
+    with pytest.raises(IndexError):
+        view[len(view)]
+    # random.choice reads only len and one index, so a draw is unchanged
+    for seed in range(500):
+        assert random.Random(seed).choice(view) == random.Random(seed).choice(eager)
 
 
 def test_divides_not_listed_by_default():

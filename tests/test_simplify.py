@@ -9,7 +9,7 @@ import pytest
 from gridknot import moves as mv
 from gridknot import simplify as sp
 from gridknot.census import knot_determinant, verify_stuck_census
-from gridknot.grid import apply_symmetry, canonical_form, from_text, trivial_diagram, validate
+from gridknot.grid import apply_symmetry, canonical_form, from_text, to_text, trivial_diagram, validate
 
 from conftest import knot_reps
 from oracles import eager_search
@@ -46,6 +46,23 @@ def test_scramble_deterministic_and_trivial():
         report = sp.is_trivial(d)
         assert report.verdict is sp.Verdict.TRIVIAL
         sp.replay_witness(report.witness)
+
+
+# SHA-256 of to_text(scramble(s, s % 21)) over s < 2,000, pinned from the
+# scramble that built every divide to draw one
+SCRAMBLE_2000_TEXT_DIGEST = "680700348c88f88e7fd4a4d9d8c2131f8d539a4941c038c0d87e9b6f9698d678"
+
+
+def test_scramble_golden_digest():
+    h = hashlib.sha256()
+    for seed in range(2_000):
+        h.update(to_text(sp.scramble(seed, seed % 21)).encode())
+    assert h.hexdigest() == SCRAMBLE_2000_TEXT_DIGEST
+
+
+def test_scramble_rejects_negative_steps():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sp.scramble(0, -3)
 
 
 def test_witness_monotone_and_exterior_flags(stuck8):
