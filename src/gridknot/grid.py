@@ -127,44 +127,57 @@ def trivial_diagram() -> GridDiagram:
     return GridDiagram(2, ((1, 2), (1, 2)))
 
 
-def grid_cycles(d: GridDiagram) -> list[list[tuple[str, int, int, int]]]:
+def _walk_cycles(d: GridDiagram, rows: tuple[Span, ...], cycles: list | None) -> int:
+    """Walk every component once and return how many there are.  When
+    `cycles` is a list, append each component's edges to it as grid_cycles
+    lists them; `rows` is d.row_spans()."""
+    seen = [False] * (d.n + 1)
+    count = 0
+    for start in range(1, d.n + 1):
+        if seen[start]:
+            continue
+        count += 1
+        cyc = []
+        col = start
+        row = d.columns[col - 1][0]
+        while not seen[col]:
+            seen[col] = True
+            lo, hi = d.columns[col - 1]
+            dest = hi if row == lo else lo
+            a, b = rows[dest - 1]
+            dest_col = b if col == a else a
+            if cycles is not None:
+                cyc.append(("v", col, row, dest))
+                cyc.append(("h", dest, col, dest_col))
+            row, col = dest, dest_col
+        if cycles is not None:
+            cycles.append(cyc)
+    return count
+
+
+def grid_cycles(d: GridDiagram, rows: tuple[Span, ...] | None = None) -> list[list[tuple[str, int, int, int]]]:
     """Each component as a cyclic list of directed edges:
     ('v', column, row_from, row_to) and ('h', row, col_from, col_to).
 
     Components are listed by their least column, and each walk starts up
-    that column from its low end.
+    that column from its low end.  `rows` is d.row_spans(), computed here
+    when not given.
     """
-    rows = d.row_spans()
-    seen_cols: set[int] = set()
-    cycles = []
-    for start in range(1, d.n + 1):
-        if start in seen_cols:
-            continue
-        cyc = []
-        col = start
-        row = d.columns[col - 1][0]
-        while col not in seen_cols:
-            seen_cols.add(col)
-            lo, hi = d.columns[col - 1]
-            dest = hi if row == lo else lo
-            cyc.append(("v", col, row, dest))
-            row = dest
-            a, b = rows[row - 1]
-            dest_col = b if col == a else a
-            cyc.append(("h", row, col, dest_col))
-            col = dest_col
-        cycles.append(cyc)
+    cycles: list = []
+    _walk_cycles(d, d.row_spans() if rows is None else rows, cycles)
     return cycles
 
 
 def component_count(d: GridDiagram) -> int:
     """Number of link components."""
-    return len(grid_cycles(d))
+    return _walk_cycles(d, d.row_spans(), None)
 
 
-def crossings(d: GridDiagram) -> list[Crossing]:
-    """All strict interior intersections; each is vertical-over by convention."""
-    rows = d.row_spans()
+def crossings(d: GridDiagram, rows: tuple[Span, ...] | None = None) -> list[Crossing]:
+    """All strict interior intersections; each is vertical-over by convention.
+    `rows` is d.row_spans(), computed here when not given."""
+    if rows is None:
+        rows = d.row_spans()
     out: list[Crossing] = []
     for i, (lo, hi) in enumerate(d.columns, start=1):
         for j in range(lo + 1, hi):

@@ -71,7 +71,8 @@ class JumpSpec:
     the transpose of the caller's diagram and the carried strand is an
     understrand there (strand_role == "under").
 
-    The strand's geometry is derived once, at construction:
+    The strand's geometry is derived once, at construction, from one
+    derivation of the host's row spans:
       row_spans         host.row_spans(),
       c_left, c_right   columns of the two attached verticals,
       e_left, e_right   heights of their free endpoints,
@@ -109,11 +110,11 @@ class JumpSpec:
         e_right = lo if hi == j0 else hi
         swept = set(self.swept_rows())
         by_row: dict[int, list[int]] = {}
-        for cr in crossings(host):
+        for cr in crossings(host, row_spans):
             if c_left < cr.column < c_right and cr.row in swept:
                 by_row.setdefault(cr.row, []).append(cr.column)
         others = []
-        for cyc in grid_cycles(host):
+        for cyc in grid_cycles(host, row_spans):
             top = next((t for t, e in enumerate(cyc) if e[0] == "h" and e[1] == j0), None)
             if top is None:
                 others.append(cyc)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .grid import GridDiagram, Span, apply_symmetry
+from .grid import GridDiagram, Span
 
 
 class MoveError(ValueError):
@@ -463,7 +463,9 @@ def apply(d: GridDiagram, m: CromwellMove, rows: tuple[Span, ...] | None = None)
         rows = d.row_spans()
     n, links = _relink(d, m, rows)
     out = GridDiagram(n, tuple(links))
-    return out if m.axis is Axis.HORIZONTAL else apply_symmetry(out, "transpose")
+    # the links of a vertical move are the child's row spans, whose own row
+    # spans are the child's columns
+    return out if m.axis is Axis.HORIZONTAL else GridDiagram(n, out.row_spans())
 
 
 def inverse(m: CromwellMove, before: GridDiagram) -> CromwellMove:

@@ -14,7 +14,7 @@ direction a quarter turn counterclockwise yields the under-strand direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 Passage = tuple[str, bool]  # (crossing label, is_over)
@@ -32,9 +32,11 @@ class IllegalMoveAtSiteError(ValueError):
     """A rewrite's site does not exist or does not admit the move."""
 
 
-# Slot names at a crossing; the counterclockwise order depends on the sign.
-_O_IN, _O_OUT, _U_IN, _U_OUT = "o_in", "o_out", "u_in", "u_out"
+# The four slots at a crossing; the counterclockwise order depends on the sign.
+_O_IN, _O_OUT, _U_IN, _U_OUT = range(4)
 _CCW_POS = {+1: (_U_IN, _O_OUT, _U_OUT, _O_IN), -1: (_U_OUT, _O_OUT, _U_IN, _O_IN)}
+# per sign, the next slot clockwise from each slot
+_CW = {s: tuple(ccw[ccw.index(k) - 1] for k in range(4)) for s, ccw in _CCW_POS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,12 +44,14 @@ class PlanarDiagram:
     """components: per-component cyclic passage sequences; signs per label.
 
     crossing_free_components counts unknotted circles with no passages (they
-    carry no combinatorial data beyond their existence).
+    carry no combinatorial data beyond their existence).  A diagram is never
+    changed after it is built, so its faces are traced once, on first use.
     """
 
     components: tuple[tuple[Passage, ...], ...]
     signs: dict
     crossing_free_components: int = 0
+    _faces: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def crossing_count(self) -> int:
@@ -100,26 +104,37 @@ class PlanarDiagram:
 
     # -- rotation system and faces -------------------------------------------
 
-    def faces(self) -> list[tuple[tuple[int, int], ...]]:
+    def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Faces as cycles of directed edges (edge index, direction).  Edges
         join consecutive passages, numbered along the components in order."""
+        if self._faces is None:
+            object.__setattr__(self, "_faces", self._trace_faces())
+        return self._faces
+
+    def _trace_faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         if not self.signs:
-            return []
-        departures: dict[tuple[str, str], tuple[int, int]] = {}
-        arrival: dict[tuple[int, int], tuple[str, str]] = {}
+            return ()
+        # slot k of the i-th crossing in `signs` has id 4 * i + k; turn maps a
+        # slot id to the id of the next slot clockwise at the same crossing
+        base: dict[str, int] = {}
+        turn: list[int] = []
+        for label, sign in self.signs.items():
+            b = base[label] = len(turn)
+            turn.extend(b + k for k in _CW[sign])
+        departures = [(0, 0)] * len(turn)
+        arrival: dict[tuple[int, int], int] = {}
         ei = 0
         for comp in self.components:
-            for t, (la, oa) in enumerate(comp):
-                lb, ob = comp[(t + 1) % len(comp)]
-                tail = (la, _O_OUT if oa else _U_OUT)
-                head = (lb, _O_IN if ob else _U_IN)
+            for (la, oa), (lb, ob) in zip(comp, comp[1:] + comp[:1]):
+                tail = base[la] + (_O_OUT if oa else _U_OUT)
+                head = base[lb] + (_O_IN if ob else _U_IN)
                 departures[tail] = (ei, +1)
                 departures[head] = (ei, -1)
                 arrival[(ei, +1)] = head
                 arrival[(ei, -1)] = tail
                 ei += 1
-        # the next slot clockwise at a crossing of either sign
-        cw = {s: dict(zip(ccw, ccw[-1:] + ccw[:-1])) for s, ccw in _CCW_POS.items()}
+        # the faces come in this set's order, and realize tries the R3
+        # variants of a crossing triple in face order
         faces = []
         unused = set(arrival)
         while unused:
@@ -128,12 +143,11 @@ class PlanarDiagram:
             while True:
                 cycle.append(cur)
                 unused.discard(cur)
-                label, slot = arrival[cur]
-                cur = departures[(label, cw[self.signs[label]][slot])]
+                cur = departures[turn[arrival[cur]]]
                 if cur == start:
                     break
             faces.append(tuple(cycle))
-        return faces
+        return tuple(faces)
 
     # -- equality oracle -------------------------------------------------------
 
@@ -148,7 +162,8 @@ class PlanarDiagram:
 
 def _canonical_variant(seq: Sequence[tuple[bool, int, str]]) -> tuple:
     """Relabel crossings in first-appearance order; minimize over basepoints.
-    Only a basepoint at a least (over, sign) passage can give the minimum."""
+    Only a basepoint at a least (over, sign) passage can give the minimum,
+    and a basepoint is dropped at its first passage above the least so far."""
     best = None
     m = len(seq)
     least = min(seq, default=())[:2]
@@ -157,14 +172,22 @@ def _canonical_variant(seq: Sequence[tuple[bool, int, str]]) -> tuple:
             continue
         labels: dict[str, int] = {}
         out = []
-        for t in range(m):
-            over, sign, label = seq[(start + t) % m]
-            if label not in labels:
-                labels[label] = len(labels) + 1
-            out.append((over, sign, labels[label]))
-        cand = tuple(out)
-        if best is None or cand < best:
-            best = cand
+        # tied: every passage so far equals best's, so the rest decides
+        tied = best is not None
+        for over, sign, label in seq[start:] + seq[:start]:
+            code = labels.get(label)
+            if code is None:
+                code = labels[label] = len(labels) + 1
+            passage = (over, sign, code)
+            if tied:
+                other = best[len(out)]
+                if passage > other:
+                    break
+                tied = passage == other
+            out.append(passage)
+        else:
+            if not tied:
+                best = tuple(out)
     return best if best is not None else ()
 
 

@@ -22,6 +22,14 @@ or a handoff, the replayed record for a move.  Validity depends only on the
 labels, over/under pairs, signs and face count, which rotation and reversal
 keep, so an extraction equal to a valid diagram is valid.
 
+Isotopy is decided before any sweep: when the first jump's validated start
+already has the strict Gauss code of the move's result, the trace is empty.
+Each planar diagram traces its faces once (planar.PlanarDiagram.faces), so
+the Euler check of a replayed record and the site checks of the next one
+share one tracing.  The trace's final diagram is the last one its records
+were applied to, by the sweep or by the peephole pass's verifying replay;
+the same records are never replayed a second time.
+
 Vertical-axis moves run on the transposed grid (where the carried strand is
 an understrand) and the finished trace is transposed back.
 """
@@ -177,7 +185,8 @@ def _grid_edge_polyline(e: tuple[str, int, int, int]) -> list[Point]:
 
 def to_planar(d: GridDiagram) -> PlanarDiagram:
     """Faithful planar diagram of a grid: every crossing vertical-over."""
-    pd = _Geometry(grid_cycles(d), _static_labels_for(d)).extract()
+    rows = d.row_spans()
+    pd = _Geometry(grid_cycles(d, rows), _static_labels_for(d, rows)).extract()
     pd.validate()
     return pd
 
@@ -522,19 +531,20 @@ def _initial_registry(spec: JumpSpec, static_label: dict[Point, str]) -> dict[tu
     return reg
 
 
-def _jump_trace(
+def _start_jump(
     spec: JumpSpec,
     static_label: dict[Point, str],
     mint: list[int],
     start_diagram: PlanarDiagram | None = None,
     frames: list | None = None,
-):
-    """Run the sweep for one jump.  Returns (records, initial, final,
-    final position->label map, r3 count).
+) -> _SweepContext:
+    """The sweep context of one jump, at its start: ctx.diagram is the jump's
+    initial diagram.
 
     start_diagram carries the traversal direction across the jumps of an
     exchange; it must be the same labeled diagram as the jump's own initial
-    extraction (possibly reversed)."""
+    extraction (possibly reversed).  Without it the extraction is validated
+    and used as it stands."""
     ctx = _SweepContext(
         spec=spec,
         static_label=static_label,
@@ -552,24 +562,21 @@ def _jump_trace(
         if not _same_either_way(start_diagram, extracted):
             raise SweepObstructionError("jump handoff does not match the next grid")
         ctx.diagram = start_diagram
-    initial = ctx.diagram
-    _sweep_jump(ctx)
-    final_positions = dict(ctx.static_label)
-    final_positions.update(ctx.moving_positions(ctx.state))
-    return ctx.records, initial, ctx.diagram, final_positions, ctx.r3_count
+    return ctx
 
 
-def _static_labels_for(host: GridDiagram) -> dict[Point, str]:
-    return {(4 * c.column, 4 * c.row): f"x{c.column}-{c.row}" for c in crossings(host)}
+def _static_labels_for(host: GridDiagram, rows: tuple | None = None) -> dict[Point, str]:
+    """Labels of the host's crossings by position; `rows` is
+    host.row_spans(), computed here when not given."""
+    return {(4 * c.column, 4 * c.row): f"x{c.column}-{c.row}" for c in crossings(host, rows)}
 
 
-def _relabel_after_rotation(spec: JumpSpec, mid: GridDiagram, final_positions: dict[Point, str]) -> dict[Point, str]:
-    """Static labels for the intermediate diagram of an exchange, inherited
-    from the first jump's final state."""
+def _relabel_after_rotation(first: JumpSpec, second: JumpSpec, final_positions: dict[Point, str]) -> dict[Point, str]:
+    """Static labels for the intermediate diagram of an exchange, the second
+    jump's host, inherited from the first jump's final state."""
     out: dict[Point, str] = {}
-    n = mid.n
-    down_first = spec.direction < 0
-    for c in crossings(mid):
+    down_first = first.direction < 0
+    for c in crossings(second.host, second.row_spans):
         old_row = c.row - 1 if down_first else c.row + 1
         pos = (4 * c.column, 4 * old_row)
         out[(4 * c.column, 4 * c.row)] = final_positions[pos]
@@ -616,43 +623,60 @@ def _transpose_record(rec: ReidemeisterMove) -> ReidemeisterMove:
 
 def realize(d: GridDiagram, m: mv.CromwellMove, frames: list | None = None) -> RealizationTrace:
     """Turn an exterior exchange, exterior merge or rotation into an explicit
-    Reidemeister sequence from to_planar(d) to to_planar(apply(d, m))."""
+    Reidemeister sequence from to_planar(d) to to_planar(apply(d, m)).
+
+    Isotopy is decided before any sweep: when the first jump's validated
+    start diagram already has the strict Gauss code of the move's result,
+    the move is a planar isotopy of the drawing and the trace is empty."""
     if component_count(d) != 1:
         raise NotAKnotError("realization requires a knot diagram")
     after = mv.apply(d, m)  # validates applicability
     frame_after = apply_symmetry(after, "transpose") if m.axis is mv.Axis.VERTICAL else after
     specs = jump_decomposition(d, m)
-    mint = [0]
+    target_code = planar.gauss_code(to_planar(frame_after), strict=True)
+    ctx = _start_jump(specs[0], _static_labels_for(specs[0].host, specs[0].row_spans), [0], None, frames)
+    initial = ctx.diagram
+    shortcut = planar.gauss_code(initial, strict=True) == target_code
+    if shortcut:
+        records: list[ReidemeisterMove] = []
+        jump_of: list[int] = []
+        r3_counts = [0] * len(specs)
+        final = initial
+    else:
+        records, jump_of, r3_counts, final = _sweep_all(specs, ctx, target_code)
+    jump_counts = [jump_of.count(i) for i in range(len(specs))]
+    if m.axis is mv.Axis.VERTICAL:
+        initial = _transpose_diagram(initial)
+        final = _transpose_diagram(final)
+        records = [_transpose_record(r) for r in records]
+    return RealizationTrace(
+        initial, tuple(records), final, tuple(jump_counts), tuple(r3_counts), shortcut
+    )
+
+
+def _sweep_all(specs: list[JumpSpec], ctx: _SweepContext, target_code: str):
+    """Sweep every jump, ctx being the first one's start, and end the trace
+    exactly at the move's result.  Returns (records, the jump of each
+    record, r3 count per jump, final diagram)."""
+    initial = ctx.diagram
     records: list[ReidemeisterMove] = []
-    jump_counts: list[int] = []
-    r3_counts: list[int] = []
-    initial = None
-    final = None
     jump_of: list[int] = []
-    static_label = _static_labels_for(specs[0].host)
-    carry: PlanarDiagram | None = None
+    r3_counts: list[int] = []
     for idx, spec in enumerate(specs):
-        recs, init_pd, final_pd, final_positions, r3s = _jump_trace(spec, static_label, mint, carry, frames)
-        records.extend(recs)
-        jump_of.extend([idx] * len(recs))
-        r3_counts.append(r3s)
-        if idx == 0:
-            initial = init_pd
-        final = final_pd
-        carry = final_pd
-        if idx + 1 < len(specs):
-            static_label = _relabel_after_rotation(specs[0], specs[idx + 1].host, final_positions)
-    assert initial is not None and final is not None
+        if idx:
+            final_positions = dict(ctx.static_label)
+            final_positions.update(ctx.moving_positions(ctx.state))
+            static_label = _relabel_after_rotation(specs[0], spec, final_positions)
+            ctx = _start_jump(spec, static_label, ctx.mint, ctx.diagram, ctx.frames)
+        _sweep_jump(ctx)
+        records.extend(ctx.records)
+        jump_of.extend([idx] * len(ctx.records))
+        r3_counts.append(ctx.r3_count)
+    final = ctx.diagram
     # A merge jump can leave one removable kink where the partner row
     # straddles the other attached column; straighten it away so the trace
     # ends exactly at the grid move's result.
-    target_code = planar.gauss_code(to_planar(frame_after), strict=True)
-    shortcut = planar.gauss_code(initial, strict=True) == target_code
-    if shortcut:
-        # the move is a planar isotopy of the drawing; no moves needed
-        records, jump_of, final = [], [], initial
-        r3_counts = [0] * len(specs)
-    while planar.gauss_code(final, strict=True) != target_code:
+    if planar.gauss_code(final, strict=True) != target_code:
         for label in _monogon_labels(final):
             candidate_rec = ReidemeisterMove("r1_delete", {"label": label})
             try:
@@ -666,15 +690,8 @@ def realize(d: GridDiagram, m: mv.CromwellMove, frames: list | None = None) -> R
                 break
         else:
             raise SweepObstructionError("swept diagram does not straighten to the move result")
-    records, jump_of, final = _cancel_idle_kinks(initial, records, jump_of, target_code)
-    jump_counts = [jump_of.count(i) for i in range(len(specs))]
-    if m.axis is mv.Axis.VERTICAL:
-        initial = _transpose_diagram(initial)
-        final = _transpose_diagram(final)
-        records = [_transpose_record(r) for r in records]
-    return RealizationTrace(
-        initial, tuple(records), final, tuple(jump_counts), tuple(r3_counts), shortcut
-    )
+    records, jump_of, final = _cancel_idle_kinks(initial, records, jump_of, final, target_code)
+    return records, jump_of, r3_counts, final
 
 
 def _references(rec: ReidemeisterMove, label: str) -> bool:
@@ -692,11 +709,13 @@ def _references(rec: ReidemeisterMove, label: str) -> bool:
     return False
 
 
-def _cancel_idle_kinks(initial, records, jump_of, target_code):
+def _cancel_idle_kinks(initial, records, jump_of, final, target_code):
     """Peephole pass: a kink the sweep creates and then merely destroys
     again (alone, or together with one other crossing) need never be made.
     Each shortened sequence is re-verified by a full replay from the initial
-    diagram; this is what keeps every trace inside its region budget.
+    diagram; this is what keeps every trace inside its region budget.  final
+    is the replay of the given records, and the result's final diagram is
+    that of the last sequence accepted, so nothing is replayed twice.
 
     With no intermediate move touching the created crossings, a creation at
     move i and a deletion at move j sharing the crossing k reduce to the net
@@ -717,7 +736,7 @@ def _cancel_idle_kinks(initial, records, jump_of, target_code):
             return None
         if planar.gauss_code(p, strict=True) != target_code:
             return None
-        return cand, cand_jumps
+        return cand, cand_jumps, p
 
     def shrink_r2_create(rec: ReidemeisterMove, dropped: str) -> ReidemeisterMove | None:
         survivor = next(l for l in rec.payload["labels"] if l != dropped)
@@ -804,14 +823,11 @@ def _cancel_idle_kinks(initial, records, jump_of, target_code):
                     continue
                 got = try_pair(i, partner)
                 if got is not None:
-                    records, jump_of = got
+                    records, jump_of, final = got
                     changed = True
                     break
             if changed:
                 break
-    final = initial
-    for r in records:
-        final = planar.apply_move(final, r)
     return records, jump_of, final
 
 

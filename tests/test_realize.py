@@ -11,7 +11,7 @@ from gridknot import jumps as jp
 from gridknot import moves as mv
 from gridknot import planar as pl
 from gridknot import realize as rz
-from gridknot.grid import grid_cycles, trivial_diagram, validate
+from gridknot.grid import SYMMETRIES, apply_symmetry, from_text, grid_cycles, trivial_diagram, validate
 
 import oracles
 from conftest import census_reps, knot_reps
@@ -50,6 +50,56 @@ def test_jump_layer_golden_digests():
     assert len(pairs) == JUMP_PAIRS
     assert _digest(jp.verify_move_count_bound(d, m).to_json_obj() for d, m in pairs) == SIGMA_DIGEST
     assert _digest(rz.trace_to_json(rz.realize(d, m), d, m) for d, m in pairs) == TRACE_DIGEST
+
+
+# The pairs above whose move is a planar isotopy of the drawing.
+ISOTOPY_PAIRS = 347
+
+
+def test_isotopy_is_decided_before_sweeping(monkeypatch):
+    """An isotopy's trace comes from the first jump's start alone: with the
+    sweep disabled it is still the trace pinned by TRACE_DIGEST, and every
+    other pair reaches the sweep."""
+    pairs = [
+        (d, m)
+        for n in range(2, 6)
+        for d in census_reps(n, knots_only=True)
+        for m in _exterior_moves(d)
+    ]
+    pinned = [rz.realize(d, m) for d, m in pairs]
+
+    def no_sweep(ctx):
+        raise rz.SweepObstructionError("swept")
+
+    monkeypatch.setattr(rz, "_sweep_jump", no_sweep)
+    isotopies = 0
+    for (d, m), want in zip(pairs, pinned):
+        if not want.isotopy_shortcut:
+            with pytest.raises(rz.SweepObstructionError, match="swept"):
+                rz.realize(d, m)
+            continue
+        isotopies += 1
+        got = rz.realize(d, m)
+        assert got == want and got.moves == ()
+        assert rz.trace_to_json(got, d, m) == rz.trace_to_json(want, d, m)
+    assert isotopies == ISOTOPY_PAIRS
+
+
+def _faces_fresh(p):
+    return pl.PlanarDiagram(p.components, dict(p.signs), p.crossing_free_components).faces()
+
+
+def test_cached_faces_match_a_fresh_tracing(stuck8):
+    for axis in (mv.Axis.HORIZONTAL, mv.Axis.VERTICAL):
+        trace = rz.realize(stuck8, mv.exterior_exchange(axis))
+        p = trace.initial
+        seen = [p]
+        for rec in trace.moves:
+            p = pl.apply_move(p, rec)
+            seen.append(p)
+        seen.append(trace.final)
+        for p in seen:
+            assert p.faces() == _faces_fresh(p)
 
 
 def assert_trace_contract(d, m):
@@ -179,6 +229,13 @@ def _outcome(extract, *args):
         return type(exc)
 
 
+@settings(deadline=None, max_examples=100)
+@given(knots())
+def test_to_planar_faces_match_a_fresh_tracing(d):
+    p = rz.to_planar(d)
+    assert p.faces() == _faces_fresh(p)
+
+
 @settings(deadline=None, max_examples=200)
 @given(knots())
 def test_extraction_matches_all_pairs_oracle(d):
@@ -226,6 +283,62 @@ def test_reproducer_vertical_rotation_over_budget():
     assert_trace_contract(d, mv.rotation(mv.Axis.VERTICAL, mv.TO_LOW))
 
 
+def _outcome_digest(pairs) -> tuple[Counter, str]:
+    """Each pair's outcome (a trace within its budget, a trace over it, or
+    an exception) and a digest over each trace's JSON, or the exception's
+    type and message, in order."""
+    outcomes: Counter = Counter()
+    lines = []
+    for d, m in pairs:
+        try:
+            trace = rz.realize(d, m)
+        except (rz.SweepObstructionError, pl.PlanarError) as exc:
+            outcomes[type(exc).__name__] += 1
+            lines.append(f"{type(exc).__name__}: {exc}")
+            continue
+        outcomes["pass" if len(trace.moves) <= rz.sigma_budget(d, m) else "over_budget"] += 1
+        lines.append(json.dumps(rz.trace_to_json(trace, d, m), sort_keys=True))
+    return outcomes, hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()[:16]
+
+
+# The n = 6 (image, exterior exchange) pairs whose move is a planar isotopy
+# but whose sweep fails the Euler check in apply_r2_create.  They are 20 of
+# the 46,136 isotopy pairs among the 282,064 (image, exterior move) pairs of
+# the eight images of every n = 6 knot orbit, images that coincide counted
+# apart.  Isotopy is decided before sweeping, so each gets an empty trace.
+# None is a census representative.
+SWEEP_FAILS_ON_ISOTOPY = [
+    ("2-5 3-4 3-6 2-4 1-5 1-6", "vertical"),
+    ("1-6 2-6 3-5 1-4 3-4 2-5", "vertical"),
+    ("1-4 2-6 3-5 4-5 3-6 1-2", "horizontal"),
+    ("5-6 1-4 2-3 2-4 1-5 3-6", "horizontal"),
+    ("2-5 3-4 2-6 3-5 1-4 1-6", "vertical"),
+    ("1-6 3-6 2-4 1-5 3-4 2-5", "vertical"),
+    ("1-4 3-6 2-5 3-5 4-6 1-2", "horizontal"),
+    ("5-6 1-3 2-4 2-5 1-4 3-6", "horizontal"),
+    ("2-5 3-4 2-4 3-6 1-5 1-6", "vertical"),
+    ("1-6 2-6 1-4 3-5 3-4 2-5", "vertical"),
+    ("1-3 2-6 4-5 3-5 4-6 1-2", "horizontal"),
+    ("5-6 1-3 2-4 2-3 1-5 4-6", "horizontal"),
+    ("3-6 1-2 2-4 3-5 1-5 4-6", "horizontal"),
+    ("1-6 4-5 3-6 1-4 2-3 2-5", "vertical"),
+    ("1-4 5-6 3-5 2-4 2-6 1-3", "horizontal"),
+    ("2-5 2-3 1-4 3-6 4-5 1-6", "vertical"),
+    ("2-5 3-4 2-6 1-4 3-5 1-6", "vertical"),
+    ("1-6 2-4 3-6 1-5 3-4 2-5", "vertical"),
+    ("1-4 2-6 3-5 2-5 4-6 1-3", "horizontal"),
+    ("4-6 1-3 2-5 2-4 1-5 3-6", "horizontal"),
+]
+
+
+@pytest.mark.parametrize("grid, axis", SWEEP_FAILS_ON_ISOTOPY)
+def test_isotopy_with_a_failing_sweep_is_empty(grid, axis):
+    d = from_text(f"6\n{grid}\n")
+    trace = assert_trace_contract(d, mv.exterior_exchange(mv.Axis(axis)))
+    assert trace.isotopy_shortcut and trace.moves == ()
+    assert d not in knot_reps(6)
+
+
 # Outcomes of all n = 6 (knot, exterior move) pairs: a trace within its
 # budget, a trace over it, or an exception.  The digest runs over each
 # trace's JSON, or the exception's type and message, in census order.  A fix
@@ -241,18 +354,28 @@ N6_DIGEST = "9c99a90757e5b7ef"
     reason="35,258 realizations; set GRIDKNOT_STRETCH=1 to run",
 )
 def test_six_grid_realizer_outcomes_stretch():
-    outcomes: Counter = Counter()
-    lines = []
-    for d in knot_reps(6):
-        for m in _exterior_moves(d):
-            try:
-                trace = rz.realize(d, m)
-            except (rz.SweepObstructionError, pl.PlanarError) as exc:
-                outcomes[type(exc).__name__] += 1
-                lines.append(f"{type(exc).__name__}: {exc}")
-                continue
-            outcomes["pass" if len(trace.moves) <= rz.sigma_budget(d, m) else "over_budget"] += 1
-            lines.append(json.dumps(rz.trace_to_json(trace, d, m), sort_keys=True))
+    outcomes, digest = _outcome_digest((d, m) for d in knot_reps(6) for m in _exterior_moves(d))
     assert sum(outcomes.values()) == N6_PAIRS
     assert outcomes == N6_OUTCOMES
-    assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()[:16] == N6_DIGEST
+    assert digest == N6_DIGEST
+
+
+# The same outcome digest over all eight images of every n = 5 knot orbit,
+# which runs the vertical and transposed paths on diagrams that are not
+# census representatives.
+N5_IMAGE_PAIRS = 10_752
+N5_IMAGE_OUTCOMES = {"pass": 10_748, "over_budget": 4}
+N5_IMAGE_DIGEST = "e2d49a4c37ef5fb3"
+
+
+@pytest.mark.stretch
+@pytest.mark.skipif(
+    not os.environ.get("GRIDKNOT_STRETCH"),
+    reason="10,752 realizations; set GRIDKNOT_STRETCH=1 to run",
+)
+def test_five_grid_images_realizer_outcomes_stretch():
+    images = (apply_symmetry(d, sym) for d in knot_reps(5) for sym in SYMMETRIES)
+    outcomes, digest = _outcome_digest((image, m) for image in images for m in _exterior_moves(image))
+    assert sum(outcomes.values()) == N5_IMAGE_PAIRS
+    assert outcomes == N5_IMAGE_OUTCOMES
+    assert digest == N5_IMAGE_DIGEST
