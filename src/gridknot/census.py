@@ -312,18 +312,20 @@ def enumerate_diagrams(
             # first spans come in sorted order, so sorting each subtree sorts all
             for cols, orbit in sorted(orbits):
                 result.raw_count += orbit
-                d = GridDiagram(n, cols)
-                if component_count(d) == 1:
+                # the knot and triviality checks run on a throwaway diagram,
+                # so a kept representative does not hold the row spans they derive
+                probe = GridDiagram(n, cols)
+                if component_count(probe) == 1:
                     result.knot_count += orbit
                     result.stuck_count += orbit if stuck else 0
                 elif filt.knots_only or filt.trivial_only:
                     continue
                 if filt.trivial_only:
-                    if not _proves_trivial(d, limits):
+                    if not _proves_trivial(probe, limits):
                         continue
                     if stuck:
                         result.trivial_stuck_count += orbit
-                result.representatives.append(d)
+                result.representatives.append(GridDiagram(n, cols))
     result.orbit_count = len(result.representatives)
     result.elapsed_s = time.monotonic() - start_time
     return result

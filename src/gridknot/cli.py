@@ -110,7 +110,13 @@ def cmd_census(args) -> dict:
 def cmd_bounds(args) -> dict | int:
     if args.formula:
         n, kind = args.formula
-        return jumps_mod.move_count_bound(int(n), kind)
+        try:
+            n = int(n)
+        except ValueError:
+            args.usage_error(f"argument --formula: N is not an integer: {n!r}")
+        return jumps_mod.move_count_bound(n, kind)
+    if args.grid is None or args.move is None:
+        args.usage_error("give either --formula N KIND, or --grid and --move")
     d = _read_grid(args.grid)
     m = _parse_move(args.move)
     report = jumps_mod.verify_move_count_bound(d, m)
@@ -225,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", nargs=2, metavar=("N", "KIND"))
     p.add_argument("--grid")
     p.add_argument("--move", help="move JSON")
-    p.set_defaults(fn=cmd_bounds)
+    p.set_defaults(fn=cmd_bounds, usage_error=p.error)
 
     p = sub.add_parser("realize", help="realize an exterior move by explicit rewrites", parents=[common])
     p.add_argument("--grid", required=True)

@@ -2,16 +2,17 @@
 
 A grid diagram of size n places one vertical edge per column x=1..n and one
 horizontal edge per row y=1..n, with every crossing drawn vertical-over.  The
-diagram is stored as the n column spans; row spans are derived on demand.
-Row j spans the two columns that use j, so the row spans read as columns are
-the transpose of the diagram.  All coordinates are integers in 1..n; there is
-no floating geometry anywhere.
+diagram is stored as the n column spans; its row spans are derived on the
+first `row_spans()` call and kept on the diagram.  Row j spans the two
+columns that use j, so the row spans read as columns are the transpose of
+the diagram.  All coordinates are integers in 1..n; there is no floating
+geometry anywhere.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 Span = tuple[int, int]
@@ -47,18 +48,23 @@ class GridDiagram:
 
     Construct through :func:`validate` (or the parsers) so the invariants
     hold; internal move code builds instances directly from known-good data.
+    The row spans are kept once derived; they take no part in equality,
+    hashing or repr.
     """
 
     n: int
     columns: tuple[Span, ...]
+    _rows: tuple[Span, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def row_spans(self) -> tuple[Span, ...]:
         """Derived horizontal edges: row j spans the two columns using j."""
-        uses: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for i, (lo, hi) in enumerate(self.columns, start=1):
-            uses[lo].append(i)
-            uses[hi].append(i)
-        return tuple((u[0], u[1]) for u in uses[1:])
+        if self._rows is None:
+            uses: list[list[int]] = [[] for _ in range(self.n + 1)]
+            for i, (lo, hi) in enumerate(self.columns, start=1):
+                uses[lo].append(i)
+                uses[hi].append(i)
+            object.__setattr__(self, "_rows", tuple((u[0], u[1]) for u in uses[1:]))
+        return self._rows
 
     def __str__(self) -> str:
         return to_text(self)
@@ -127,10 +133,11 @@ def trivial_diagram() -> GridDiagram:
     return GridDiagram(2, ((1, 2), (1, 2)))
 
 
-def _walk_cycles(d: GridDiagram, rows: tuple[Span, ...], cycles: list | None) -> int:
+def _walk_cycles(d: GridDiagram, cycles: list | None) -> int:
     """Walk every component once and return how many there are.  When
     `cycles` is a list, append each component's edges to it as grid_cycles
-    lists them; `rows` is d.row_spans()."""
+    lists them."""
+    rows = d.row_spans()
     seen = [False] * (d.n + 1)
     count = 0
     for start in range(1, d.n + 1):
@@ -155,29 +162,26 @@ def _walk_cycles(d: GridDiagram, rows: tuple[Span, ...], cycles: list | None) ->
     return count
 
 
-def grid_cycles(d: GridDiagram, rows: tuple[Span, ...] | None = None) -> list[list[tuple[str, int, int, int]]]:
+def grid_cycles(d: GridDiagram) -> list[list[tuple[str, int, int, int]]]:
     """Each component as a cyclic list of directed edges:
     ('v', column, row_from, row_to) and ('h', row, col_from, col_to).
 
     Components are listed by their least column, and each walk starts up
-    that column from its low end.  `rows` is d.row_spans(), computed here
-    when not given.
+    that column from its low end.
     """
     cycles: list = []
-    _walk_cycles(d, d.row_spans() if rows is None else rows, cycles)
+    _walk_cycles(d, cycles)
     return cycles
 
 
 def component_count(d: GridDiagram) -> int:
     """Number of link components."""
-    return _walk_cycles(d, d.row_spans(), None)
+    return _walk_cycles(d, None)
 
 
-def crossings(d: GridDiagram, rows: tuple[Span, ...] | None = None) -> list[Crossing]:
-    """All strict interior intersections; each is vertical-over by convention.
-    `rows` is d.row_spans(), computed here when not given."""
-    if rows is None:
-        rows = d.row_spans()
+def crossings(d: GridDiagram) -> list[Crossing]:
+    """All strict interior intersections; each is vertical-over by convention."""
+    rows = d.row_spans()
     out: list[Crossing] = []
     for i, (lo, hi) in enumerate(d.columns, start=1):
         for j in range(lo + 1, hi):
@@ -261,10 +265,10 @@ _SYMMETRY_TABLE: dict[str, tuple[bool, bool, bool]] = {
 SYMMETRIES: tuple[str, ...] = tuple(_SYMMETRY_TABLE)
 
 
-def _image(d: GridDiagram, transposed: tuple[Span, ...], sym: str) -> tuple[Span, ...]:
-    """Column spans of the image of d under sym; `transposed` is d.row_spans()."""
+def _image(d: GridDiagram, sym: str) -> tuple[Span, ...]:
+    """Column spans of the image of d under sym."""
     swap, reverse_x, reverse_y = _SYMMETRY_TABLE[sym]
-    cols = transposed if swap else d.columns
+    cols = d.row_spans() if swap else d.columns
     if reverse_x:
         cols = cols[::-1]
     if reverse_y:
@@ -277,7 +281,7 @@ def apply_symmetry(d: GridDiagram, sym: str) -> GridDiagram:
     """Image of the diagram under one of the eight square symmetries."""
     if sym not in _SYMMETRY_TABLE:
         raise GridError(f"unknown symmetry {sym!r}")
-    return GridDiagram(d.n, _image(d, d.row_spans(), sym))
+    return GridDiagram(d.n, _image(d, sym))
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,33 +300,30 @@ def canonical_form(d: GridDiagram) -> CanonicalForm:
     here; `torus_key` quotients by them as well.  Ties go to the first
     symmetry in SYMMETRIES order.
     """
-    rows = d.row_spans()
-    images = {sym: _image(d, rows, sym) for sym in SYMMETRIES}
+    images = {sym: _image(d, sym) for sym in SYMMETRIES}
     best = min(SYMMETRIES, key=images.__getitem__)
     return CanonicalForm(GridDiagram(d.n, images[best]), best, len(set(images.values())))
 
 
-def canonical_key(d: GridDiagram, rows: tuple[Span, ...] | None = None) -> bytes:
+def canonical_key(d: GridDiagram) -> bytes:
     """Compact canonical identifier used for search/census dedup: n, then the
     least image's spans flattened (the same order as comparing span tuples).
 
     The least image starts with the least first span, so only the images
-    whose first span is least are built.  `rows` is d.row_spans(), computed
-    here when not given.
+    whose first span is least are built.
     """
-    if rows is None:
-        rows = d.row_spans()
+    rows = d.row_spans()
     m = d.n + 1
     firsts = []
     for sym, (swap, reverse_x, reverse_y) in _SYMMETRY_TABLE.items():
         lo, hi = (rows if swap else d.columns)[-1 if reverse_x else 0]
         firsts.append(((m - hi, m - lo) if reverse_y else (lo, hi), sym))
     least = min(firsts)[0]
-    best = min(_image(d, rows, sym) for first, sym in firsts if first == least)
+    best = min(_image(d, sym) for first, sym in firsts if first == least)
     return bytes([d.n, *(r for span in best for r in span)])
 
 
-def torus_key(d: GridDiagram, rows: tuple[Span, ...] | None = None) -> bytes:
+def torus_key(d: GridDiagram) -> bytes:
     """Key of d's torus orbit: the least image over the eight square
     symmetries and the n x n cyclic shifts of the columns and rows, in
     canonical_key's format.
@@ -334,12 +335,10 @@ def torus_key(d: GridDiagram, rows: tuple[Span, ...] | None = None) -> bytes:
     reverse y reflects the rows) and each column of torus length L, the
     shift that puts that column first and one of its ends on row 1.  The
     candidates are compared span by span and the larger ones dropped, so
-    no image is built whole.  `rows` is d.row_spans(), computed here when
-    not given.
+    no image is built whole.
     """
     n = d.n
-    if rows is None:
-        rows = d.row_spans()
+    rows = d.row_spans()
     least = min(min(hi - lo, n - hi + lo) for lo, hi in d.columns + rows)
     # a candidate walks `base` from column `first` by `step` and maps row r
     # to (sign * (r - origin)) mod n + 1

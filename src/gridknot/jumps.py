@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import moves as mv
-from .grid import GridDiagram, SizeError, Span, apply_symmetry, crossings, grid_cycles
+from .grid import GridDiagram, SizeError, apply_symmetry, crossings, grid_cycles
 
 BOUND_KINDS = ("exterior_exchange", "exterior_merge", "rotation")
 
@@ -71,9 +71,8 @@ class JumpSpec:
     the transpose of the caller's diagram and the carried strand is an
     understrand there (strand_role == "under").
 
-    The strand's geometry is derived once, at construction, from one
-    derivation of the host's row spans:
-      row_spans         host.row_spans(),
+    The strand's geometry is derived once, at construction, from the host's
+    row spans (`host.row_spans()`):
       c_left, c_right   columns of the two attached verticals,
       e_left, e_right   heights of their free endpoints,
       crossings_by_row  swept row -> sorted columns of the region's interior
@@ -90,7 +89,6 @@ class JumpSpec:
     row: int
     direction: int  # -1 down, +1 up
     transposed: bool
-    row_spans: tuple[Span, ...] = _derived()
     c_left: int = _derived()
     c_right: int = _derived()
     e_left: int = _derived()
@@ -102,19 +100,18 @@ class JumpSpec:
 
     def __post_init__(self) -> None:
         host, j0 = self.host, self.row
-        row_spans = host.row_spans()
-        c_left, c_right = row_spans[j0 - 1]
+        c_left, c_right = host.row_spans()[j0 - 1]
         lo, hi = host.columns[c_left - 1]
         e_left = lo if hi == j0 else hi
         lo, hi = host.columns[c_right - 1]
         e_right = lo if hi == j0 else hi
         swept = set(self.swept_rows())
         by_row: dict[int, list[int]] = {}
-        for cr in crossings(host, row_spans):
+        for cr in crossings(host):
             if c_left < cr.column < c_right and cr.row in swept:
                 by_row.setdefault(cr.row, []).append(cr.column)
         others = []
-        for cyc in grid_cycles(host, row_spans):
+        for cyc in grid_cycles(host):
             top = next((t for t, e in enumerate(cyc) if e[0] == "h" and e[1] == j0), None)
             if top is None:
                 others.append(cyc)
@@ -124,7 +121,6 @@ class JumpSpec:
             enters_left = cyc[top - 1][1] == c_left
             chain = tuple(cyc[(top + 2 + k) % m] for k in range(m - 3))
         for name, value in (
-            ("row_spans", row_spans),
             ("c_left", c_left),
             ("c_right", c_right),
             ("e_left", e_left),

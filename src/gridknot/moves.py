@@ -193,8 +193,9 @@ def _exchangeable(span_a: Span, span_b: Span) -> bool:
     return interleaved(span_a, span_b) in (Interleaving.NESTED, Interleaving.DISJOINT)
 
 
-def _axis_pair(d: GridDiagram, axis: Axis, rows: tuple[Span, ...] | None) -> tuple:
-    """(edges, links) of a move on `axis`; `rows` is d.row_spans()."""
+def _axis_pair(d: GridDiagram, axis: Axis) -> tuple:
+    """(edges, links) of a move on `axis`."""
+    rows = d.row_spans()
     return (rows, d.columns) if axis is Axis.HORIZONTAL else (d.columns, rows)
 
 
@@ -209,23 +210,15 @@ def _partners(edges: tuple[Span, ...], links: tuple[Span, ...], connector: int) 
     return a, b
 
 
-def _merge_endpoints(
-    d: GridDiagram,
-    axis: Axis,
-    connector: int,
-    rows: tuple[Span, ...] | None = None,
-) -> tuple[int, int]:
+def _merge_endpoints(d: GridDiagram, axis: Axis, connector: int) -> tuple[int, int]:
     """Partners (a, b) of the two merged edges: a on the connector's low edge.
 
     The connector is the link `connector` of the axis pair; the merged edges
     are the edges at its two levels, and (a, b) are the other links they
-    use.  `rows` is d.row_spans(), computed here when not given.  Raises on
-    structural degeneracy (a == b would leave a zero-length edge, the closed
-    small-square case).
+    use.  Raises on structural degeneracy (a == b would leave a zero-length
+    edge, the closed small-square case).
     """
-    if rows is None:
-        rows = d.row_spans()
-    a, b = _partners(*_axis_pair(d, axis, rows), connector)
+    a, b = _partners(*_axis_pair(d, axis), connector)
     if a == b:
         raise InapplicableMoveError(
             "merge would collapse a closed square component to a point"
@@ -233,16 +226,16 @@ def _merge_endpoints(
     return a, b
 
 
-def iter_merges(d: GridDiagram, rows: tuple[Span, ...]) -> Iterator[CromwellMove]:
+def iter_merges(d: GridDiagram) -> Iterator[CromwellMove]:
     """The merges of d in `available_moves` order, each found only when it
-    is asked for; `rows` is d.row_spans().
+    is asked for.
 
     A length-1 connector gives an interior merge, a spanning connector of
     length n-1 an exterior merge with both placements.  Structurally
     degenerate merges (closed square sub-component) are not listed; at n=2
     that is every merge, as the 2x2 diagram is terminal.
     """
-    n = d.n
+    n, rows = d.n, d.row_spans()
     pairs = ((Axis.HORIZONTAL, rows, d.columns), (Axis.VERTICAL, d.columns, rows))
     for axis, edges, links in pairs:
         for i, (lo, hi) in enumerate(links, start=1):
@@ -259,14 +252,11 @@ def iter_merges(d: GridDiagram, rows: tuple[Span, ...]) -> Iterator[CromwellMove
                     yield exterior_merge(axis, i, HIGH)
 
 
-def iter_exchanges(
-    d: GridDiagram, rows: tuple[Span, ...], exterior: bool = True
-) -> Iterator[CromwellMove]:
+def iter_exchanges(d: GridDiagram, exterior: bool = True) -> Iterator[CromwellMove]:
     """The exchanges of d in `available_moves` order, each found only when
-    it is asked for, without the exterior ones unless `exterior`; `rows` is
-    d.row_spans()."""
+    it is asked for, without the exterior ones unless `exterior`."""
     n = d.n
-    pairs = ((Axis.HORIZONTAL, rows), (Axis.VERTICAL, d.columns))
+    pairs = ((Axis.HORIZONTAL, d.row_spans()), (Axis.VERTICAL, d.columns))
     for axis, edges in pairs:
         for j in range(1, n):
             if _exchangeable(edges[j - 1], edges[j]):
@@ -281,8 +271,7 @@ def available_moves(d: GridDiagram, include_divides: bool = False) -> list[Cromw
     """Every applicable move, in a fixed deterministic order: the merges
     (`iter_merges`), the exchanges (`iter_exchanges`), the four rotations,
     and on request every divide."""
-    rows = d.row_spans()
-    out = [*iter_merges(d, rows), *iter_exchanges(d, rows), *ROTATIONS]
+    out = [*iter_merges(d), *iter_exchanges(d), *ROTATIONS]
     if include_divides:
         out.extend(all_divides(d))
     return out
@@ -338,17 +327,21 @@ def _relabel(links: list[Span] | tuple[Span, ...], table: list[int]) -> list[Spa
     return out
 
 
-def _relink(
-    d: GridDiagram, m: CromwellMove, rows: tuple[Span, ...] | None
-) -> tuple[int, list[Span]]:
+def _relink(d: GridDiagram, m: CromwellMove) -> tuple[int, list[Span]]:
     """The size and links after m, on the (edges, links) pair of m.axis.
 
-    `rows` is d.row_spans(), or None for a rotation, which needs no edges.
+    A horizontal rotation only relabels the columns, so it derives no row
+    spans (a vertical one never comes here, see `apply`).
     """
     n = d.n
-    edges, links = _axis_pair(d, m.axis, rows)
-    edge_name, link_name = ("row", "column") if m.axis is Axis.HORIZONTAL else ("column", "row")
     kind = m.kind
+    if kind is MoveKind.ROTATION:
+        (direction,) = m.site
+        table = [0, *range(2, n + 1), 1] if direction == TO_LOW else [0, n, *range(1, n)]
+        return n, _relabel(d.columns, table)
+
+    edges, links = _axis_pair(d, m.axis)
+    edge_name, link_name = ("row", "column") if m.axis is Axis.HORIZONTAL else ("column", "row")
     if kind in (MoveKind.INTERIOR_EXCHANGE, MoveKind.EXTERIOR_EXCHANGE):
         if kind is MoveKind.INTERIOR_EXCHANGE:
             (j,) = m.site
@@ -363,11 +356,6 @@ def _relink(
             )
         table = list(range(n + 1))
         table[lo], table[hi] = hi, lo
-        return n, _relabel(links, table)
-
-    if kind is MoveKind.ROTATION:
-        (direction,) = m.site
-        table = [0, *range(2, n + 1), 1] if direction == TO_LOW else [0, n, *range(1, n)]
         return n, _relabel(links, table)
 
     if kind in (MoveKind.INTERIOR_MERGE, MoveKind.EXTERIOR_MERGE):
@@ -390,7 +378,7 @@ def _relink(
                 table = [0, 1, *range(2, n), 1]
             else:
                 table = [0, n - 1, *range(1, n - 1), n - 1]
-        _merge_endpoints(d, m.axis, i, rows)
+        _merge_endpoints(d, m.axis, i)
         return n - 1, _relabel(links[: i - 1] + links[i:], table)
 
     if kind is MoveKind.DIVIDE:
@@ -448,20 +436,17 @@ def _permute_columns(d: GridDiagram, m: CromwellMove) -> GridDiagram:
     return GridDiagram(n, tuple(out))
 
 
-def apply(d: GridDiagram, m: CromwellMove, rows: tuple[Span, ...] | None = None) -> GridDiagram:
+def apply(d: GridDiagram, m: CromwellMove) -> GridDiagram:
     """Apply one move, returning the new diagram or raising.
 
     The move relabels the links of its axis pair (module docstring): the
     column spans for a horizontal move, the row spans for a vertical one,
     whose result is transposed once back into columns.  A vertical exchange
     or rotation only reorders the columns, so it permutes them directly.
-    `rows` is d.row_spans(), computed here when a move needs it.
     """
     if m.axis is Axis.VERTICAL and m.kind in _COLUMN_PERMUTATIONS:
         return _permute_columns(d, m)
-    if rows is None and m.kind is not MoveKind.ROTATION:
-        rows = d.row_spans()
-    n, links = _relink(d, m, rows)
+    n, links = _relink(d, m)
     out = GridDiagram(n, tuple(links))
     # the links of a vertical move are the child's row spans, whose own row
     # spans are the child's columns
@@ -485,9 +470,8 @@ def inverse(m: CromwellMove, before: GridDiagram) -> CromwellMove:
         # The divide puts the connector back at link i.  Dropping link i
         # keeps the order of the partners a and b, neither of which is i.
         i = m.site[0]
-        rows = before.row_spans()
-        _, links = _axis_pair(before, m.axis, rows)
-        a, b = _merge_endpoints(before, m.axis, i, rows)
+        _, links = _axis_pair(before, m.axis)
+        a, b = _merge_endpoints(before, m.axis, i)
         if kind is MoveKind.INTERIOR_MERGE:
             return divide(m.axis, links[i - 1][0], i, first_low=a < b, exterior=False)
         edge = 1 if m.site[1] == LOW else before.n - 1

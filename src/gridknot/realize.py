@@ -185,8 +185,7 @@ def _grid_edge_polyline(e: tuple[str, int, int, int]) -> list[Point]:
 
 def to_planar(d: GridDiagram) -> PlanarDiagram:
     """Faithful planar diagram of a grid: every crossing vertical-over."""
-    rows = d.row_spans()
-    pd = _Geometry(grid_cycles(d, rows), _static_labels_for(d, rows)).extract()
+    pd = _Geometry(grid_cycles(d), _static_labels_for(d)).extract()
     pd.validate()
     return pd
 
@@ -208,7 +207,7 @@ def _rows_crossing(spec: JumpSpec, x: int, y1: int, y2: int) -> list[int]:
     """Rows of the host whose span crosses the vertical line x strictly
     between heights y1 and y2, in either order (scaled coordinates)."""
     y1, y2 = sorted((y1, y2))
-    spans = enumerate(spec.row_spans, start=1)
+    spans = enumerate(spec.host.row_spans(), start=1)
     return [r for r, (a, b) in spans if 4 * a < x < 4 * b and y1 < 4 * r < y2]
 
 
@@ -439,7 +438,7 @@ def _classify_end(spec: JumpSpec, j: int, end_col: int, side: str) -> _EndEvent:
 def _sweep_jump(ctx: _SweepContext) -> None:
     spec = ctx.spec
     down = spec.direction < 0
-    rows = spec.row_spans
+    rows = spec.host.row_spans()
     for j in spec.swept_rows():
         before_y = 4 * j + (1 if down else -1)
         after_y = 4 * j - (1 if down else -1)
@@ -565,10 +564,9 @@ def _start_jump(
     return ctx
 
 
-def _static_labels_for(host: GridDiagram, rows: tuple | None = None) -> dict[Point, str]:
-    """Labels of the host's crossings by position; `rows` is
-    host.row_spans(), computed here when not given."""
-    return {(4 * c.column, 4 * c.row): f"x{c.column}-{c.row}" for c in crossings(host, rows)}
+def _static_labels_for(host: GridDiagram) -> dict[Point, str]:
+    """Labels of the host's crossings by position."""
+    return {(4 * c.column, 4 * c.row): f"x{c.column}-{c.row}" for c in crossings(host)}
 
 
 def _relabel_after_rotation(first: JumpSpec, second: JumpSpec, final_positions: dict[Point, str]) -> dict[Point, str]:
@@ -576,7 +574,7 @@ def _relabel_after_rotation(first: JumpSpec, second: JumpSpec, final_positions: 
     jump's host, inherited from the first jump's final state."""
     out: dict[Point, str] = {}
     down_first = first.direction < 0
-    for c in crossings(second.host, second.row_spans):
+    for c in crossings(second.host):
         old_row = c.row - 1 if down_first else c.row + 1
         pos = (4 * c.column, 4 * old_row)
         out[(4 * c.column, 4 * c.row)] = final_positions[pos]
@@ -634,7 +632,7 @@ def realize(d: GridDiagram, m: mv.CromwellMove, frames: list | None = None) -> R
     frame_after = apply_symmetry(after, "transpose") if m.axis is mv.Axis.VERTICAL else after
     specs = jump_decomposition(d, m)
     target_code = planar.gauss_code(to_planar(frame_after), strict=True)
-    ctx = _start_jump(specs[0], _static_labels_for(specs[0].host, specs[0].row_spans), [0], None, frames)
+    ctx = _start_jump(specs[0], _static_labels_for(specs[0].host), [0], None, frames)
     initial = ctx.diagram
     shortcut = planar.gauss_code(initial, strict=True) == target_code
     if shortcut:

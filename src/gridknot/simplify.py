@@ -22,14 +22,14 @@ expanded state has a stream of its merges and a stream of its exchanges,
 and a stream lists its next move only when it is at the top of the heap.
 A child is built and keyed only when its move is taken, so a search that
 merges its way down never lists an exchange, and the children of a state
-that is never expanded cost nothing.  Each state's row spans are derived
-once and serve its key, its torus key, its streams and the moves applied
-to it.  A search that builds a replayable witness records each state's
-parent and move; the witness is a valid path, not necessarily a shortest
-one.  A verdict-only search with exterior exchanges works on the torus: it
-expands one diagram per torus orbit (`grid.torus_key`), the orbit's least
-image, since the reachable orbits and so the verdict do not depend on which
-member is expanded.
+that is never expanded cost nothing.  A diagram keeps its row spans once
+derived (`GridDiagram.row_spans`), so one derivation serves its key, its
+torus key, its streams and the moves applied to it.  A search that builds
+a replayable witness records each state's parent and move; the witness is
+a valid path, not necessarily a shortest one.  A verdict-only search with
+exterior exchanges works on the torus: it expands one diagram per torus
+orbit (`grid.torus_key`), the orbit's least image, since the reachable
+orbits and so the verdict do not depend on which member is expanded.
 """
 
 from __future__ import annotations
@@ -79,15 +79,15 @@ class Verdict(Enum):
 # Per-key footprint for the MB cap: the tracemalloc peak of a fresh process
 # running is_trivial(want_witness=True) on the 8-grid trefoil
 # 4-5 2-7 4-8 1-7 6-8 2-6 3-5 1-3 capped at 10,000 stored keys, over those
-# keys, rounded up (3,252,188 B, Python 3.11).  That search keeps a parent
-# key and a move per key, and the diagram, row spans and arc streams of
-# each expanded state whose streams are not drained, so it is the larger
-# of the two modes: the verdict-only search peaks at 170 B per stored key
-# when it exhausts the same knot (9,313 keys).  A fresh process also
-# leaves up to about 0.4 MB of canonical_key's span tuples on the
-# interpreter's tuple free lists, which tracemalloc counts as allocated;
-# that part is held once per process, not per search, so below about
-# 0.5 MB it dominates the peak of a first search.
+# keys, rounded up (3,256,774 B, Python 3.11).  That search keeps a parent
+# key and a move per key, and the diagram (with the row spans it keeps)
+# and arc streams of each expanded state whose streams are not drained, so
+# it is the larger of the two modes: the verdict-only search peaks at 170 B
+# per stored key when it exhausts the same knot (9,313 keys).  A fresh
+# process also leaves up to about 0.4 MB of canonical_key's span tuples on
+# the interpreter's tuple free lists, which tracemalloc counts as
+# allocated; that part is held once per process, not per search, so below
+# about 0.5 MB it dominates the peak of a first search.
 _STATE_BYTES_ESTIMATE = 326
 
 
@@ -161,8 +161,8 @@ def _search(
     """Best-first reachability search for the 2x2 diagram (module docstring).
 
     A heap entry is an arc stream (size, expansion, parent, moves), where
-    parent = (key, diagram, row spans) is an expanded state.  Each expansion
-    pushes two streams: its merges, whose children have size n - 1, and its
+    parent = (key, diagram) is an expanded state.  Each expansion pushes
+    two streams: its merges, whose children have size n - 1, and its
     exchanges, whose children have size n.  Until a stream first reaches
     the top of the heap, `moves` is the function that lists them; from then
     on it is the iterator that yields them one at a time.  Expansions are
@@ -186,23 +186,22 @@ def _search(
     visited = 0
     expansions = 0
     # the start is the one move, None, of a stream from no parent
-    heap: list[tuple] = [(start.n, 0, (None, start, None), iter((None,)))]
+    heap: list[tuple] = [(start.n, 0, (None, start), iter((None,)))]
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             return Verdict.LIMIT_EXCEEDED, visited, None
         size, expansion, parent, moves = heap[0]
-        parent_key, d, rows = parent
+        parent_key, d = parent
         if callable(moves):
-            moves = moves(d, rows)
+            moves = moves(d)
             heap[0] = (size, expansion, parent, moves)
         m = next(moves, _END)
         if m is _END:
             heapq.heappop(heap)
             continue
         if m is not None:
-            d = mv.apply(d, m, rows)
-        rows = d.row_spans()
-        key = canonical_key(d, rows)
+            d = mv.apply(d, m)
+        key = canonical_key(d)
         if key in stored:
             continue
         stored[key] = (parent_key, m) if want_witness else None
@@ -213,7 +212,7 @@ def _search(
         if visited >= limits.max_states:
             return Verdict.LIMIT_EXCEEDED, visited, None
         if torus:
-            orbit = torus_key(d, rows)
+            orbit = torus_key(d)
             if orbit in orbits:
                 continue
             orbits.add(orbit)
@@ -221,9 +220,8 @@ def _search(
             if visited >= limits.max_states:
                 return Verdict.LIMIT_EXCEEDED, visited, None
             d = from_canonical_key(orbit)
-            rows = d.row_spans()
         expansions += 1
-        parent = (key, d, rows)
+        parent = (key, d)
         heapq.heappush(heap, (d.n - 1, expansions, parent, mv.iter_merges))
         heapq.heappush(heap, (d.n, expansions, parent, exchanges))
     return Verdict.NOT_TRIVIAL, visited, None

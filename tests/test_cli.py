@@ -276,6 +276,21 @@ def test_bounds_move_report(capsys, stuck8_file):
     assert obj["bound"] == 79
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--formula", "x", "exterior_exchange"], "N is not an integer: 'x'"),
+        ([], "give either --formula N KIND, or --grid and --move"),
+        (["--grid", "g.grid"], "give either --formula N KIND, or --grid and --move"),
+    ],
+)
+def test_bounds_argument_errors_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_file_is_domain_error(capsys):
     assert cli.main(["info", "--grid", "/nonexistent/x.grid"]) == 1
     err = capsys.readouterr().err
